@@ -26,7 +26,7 @@ from repro.cluster.supervisor import ClusterConfig, ClusterSupervisor
 from repro.pmo.store import DEFAULT_COMMIT_INTERVAL_US
 from repro.service.server import (
     DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS,
-    DEFAULT_SWEEP_PERIOD_NS)
+    DEFAULT_SWEEP_PERIOD_NS, fix_malloc_thresholds)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -113,6 +113,7 @@ def make_config(args: argparse.Namespace) -> ClusterConfig:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    fix_malloc_thresholds()
     supervisor = ClusterSupervisor(make_config(args))
     stop = threading.Event()
     for sig in (signal.SIGINT, signal.SIGTERM):

@@ -8,7 +8,9 @@ Two granularities are tracked, mirroring the paper's EW/TEW split:
 * **Thread exposure window (TEW)** — a contiguous interval during
   which one specific thread holds access permission to the PMO.
 
-From the recorded intervals we derive the reported metrics:
+From the recorded intervals we derive the reported metrics (the
+tracker keeps per-key running aggregates, never the intervals
+themselves, so a long-lived daemon's memory stays flat):
 
 * ``avg``/``max`` window size,
 * **ER** (exposure rate) = total exposed time / total execution time,
@@ -21,8 +23,8 @@ decisions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Hashable, Iterable, List, Optional
 
 from repro.core.errors import TerpError
 
@@ -41,23 +43,41 @@ class Window:
 
 @dataclass
 class WindowStats:
-    """Summary statistics over a set of windows."""
+    """Running summary statistics over a set of windows."""
 
-    count: int
-    total_ns: int
-    avg_ns: float
-    max_ns: int
-    min_ns: int
+    count: int = 0
+    total_ns: int = 0
+    max_ns: int = 0
+    min_ns: int = 0
+
+    @property
+    def avg_ns(self) -> float:
+        return self.total_ns / self.count if self.count else 0.0
+
+    def add(self, length_ns: int) -> None:
+        if not self.count or length_ns > self.max_ns:
+            self.max_ns = length_ns
+        if not self.count or length_ns < self.min_ns:
+            self.min_ns = length_ns
+        self.count += 1
+        self.total_ns += length_ns
+
+    def merge(self, other: "WindowStats") -> None:
+        if not other.count:
+            return
+        if not self.count or other.max_ns > self.max_ns:
+            self.max_ns = other.max_ns
+        if not self.count or other.min_ns < self.min_ns:
+            self.min_ns = other.min_ns
+        self.count += other.count
+        self.total_ns += other.total_ns
 
     @classmethod
-    def of(cls, windows: List[Window]) -> "WindowStats":
-        if not windows:
-            return cls(count=0, total_ns=0, avg_ns=0.0, max_ns=0, min_ns=0)
-        lengths = [w.length_ns for w in windows]
-        total = sum(lengths)
-        return cls(count=len(lengths), total_ns=total,
-                   avg_ns=total / len(lengths),
-                   max_ns=max(lengths), min_ns=min(lengths))
+    def of(cls, windows: Iterable[Window]) -> "WindowStats":
+        stats = cls()
+        for window in windows:
+            stats.add(window.length_ns)
+        return stats
 
 
 class WindowTracker:
@@ -68,7 +88,7 @@ class WindowTracker:
 
     def __init__(self) -> None:
         self._open: Dict[Hashable, int] = {}
-        self._closed: Dict[Hashable, List[Window]] = {}
+        self._closed: Dict[Hashable, WindowStats] = {}
 
     def open(self, key: Hashable, now_ns: int) -> None:
         """Begin a window; opening an already-open window is an error
@@ -87,7 +107,10 @@ class WindowTracker:
             raise TerpError(
                 f"window for {key!r} closes at {now_ns} before open {start}")
         window = Window(start, now_ns)
-        self._closed.setdefault(key, []).append(window)
+        stats = self._closed.get(key)
+        if stats is None:
+            stats = self._closed[key] = WindowStats()
+        stats.add(now_ns - start)
         return window
 
     def is_open(self, key: Hashable) -> bool:
@@ -116,21 +139,21 @@ class WindowTracker:
         for key in list(self._open):
             self.close(key, now_ns)
 
-    def windows(self, key: Hashable = None) -> List[Window]:
-        """Closed windows for ``key``, or all windows when key is None."""
-        if key is not None:
-            return list(self._closed.get(key, []))
-        out: List[Window] = []
-        for wins in self._closed.values():
-            out.extend(wins)
-        return out
-
     def keys(self) -> List[Hashable]:
         seen = set(self._closed) | set(self._open)
         return sorted(seen, key=repr)
 
     def stats(self, key: Hashable = None) -> WindowStats:
-        return WindowStats.of(self.windows(key))
+        """Closed-window statistics for ``key``, or over every key when
+        key is None (a copy: the caller may merge into it)."""
+        if key is None:
+            parts: Iterable[WindowStats] = self._closed.values()
+        else:
+            parts = [self._closed[key]] if key in self._closed else []
+        out = WindowStats()
+        for stats in parts:
+            out.merge(stats)
+        return out
 
     def exposure_rate(self, total_ns: int, key: Hashable = None) -> float:
         """Total exposed time / total time (the paper's ER / TER)."""

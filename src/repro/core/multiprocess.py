@@ -127,8 +127,7 @@ class SharedPmoSystem:
         out = {}
         for name, process in self._processes.items():
             monitor = process.runtime.monitor
-            windows = monitor.ew.windows(pmo.pmo_id)
-            open_len = monitor.ew.current_length(pmo.pmo_id, total_ns)
-            exposed = sum(w.length_ns for w in windows) + open_len
+            exposed = monitor.ew.stats(pmo.pmo_id).total_ns + \
+                monitor.ew.current_length(pmo.pmo_id, total_ns)
             out[name] = exposed / total_ns if total_ns else 0.0
         return out

@@ -40,14 +40,24 @@ SCRUB = "scrub"
 QUARANTINE = "quarantine"
 
 
+#: The fields of one event, in the order the ring stores them.
+EVENT_FIELDS = ("seq", "kind", "at_ns", "entity", "pmo_id", "pmo",
+                "duration_ns", "reason")
+
+
 class AuditTimeline:
-    """Bounded event log + exact cumulative exposure accounting."""
+    """Bounded event log + exact cumulative exposure accounting.
+
+    The ring holds each event as a tuple in :data:`EVENT_FIELDS` order
+    (a third of a dict's size: a full ring is the daemon's largest
+    steady-state allocation); :meth:`events` hands out dicts.
+    """
 
     def __init__(self, *, capacity: int = 65536,
                  enabled: bool = True) -> None:
         self.enabled = enabled
         self.capacity = capacity
-        self._ring: Deque[Dict[str, Any]] = deque(maxlen=capacity)
+        self._ring: Deque[Tuple[Any, ...]] = deque(maxlen=capacity)
         self._seq = 0
         self._lock = threading.Lock()
         #: (entity, pmo_id) -> attach timestamp of the open window
@@ -80,16 +90,8 @@ class AuditTimeline:
         # the seq ordering and the stats update atomic together.
         self._seq += 1
         self.events_recorded += 1
-        self._ring.append({
-            "seq": self._seq,
-            "kind": kind,
-            "at_ns": at_ns,
-            "entity": entity,
-            "pmo_id": pmo_id,
-            "pmo": pmo_name,
-            "duration_ns": duration_ns,
-            "reason": reason,
-        })
+        self._ring.append((self._seq, kind, at_ns, entity, pmo_id,
+                           pmo_name, duration_ns, reason))
 
     def record_attach(self, entity: Optional[int], pmo_id: Hashable,
                       pmo_name: Optional[str], at_ns: int, *,
@@ -211,13 +213,12 @@ class AuditTimeline:
         with self._lock:
             records = list(self._ring)
         if pmo is not None:
-            records = [r for r in records
-                       if r["pmo_id"] == pmo or r["pmo"] == pmo]
+            records = [r for r in records if r[4] == pmo or r[5] == pmo]
         if kind is not None:
-            records = [r for r in records if r["kind"] == kind]
+            records = [r for r in records if r[1] == kind]
         if limit is not None:
             records = records[-limit:]
-        return records
+        return [dict(zip(EVENT_FIELDS, r)) for r in records]
 
     def open_windows(self, now_ns: Optional[int] = None
                      ) -> List[Dict[str, Any]]:

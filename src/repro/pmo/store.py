@@ -13,7 +13,10 @@ page-granular dirty tracking behind the existing
   the PMO's journal file (and fsyncs it), then to the home slots, then
   retires the journal.  A crash mid-flush therefore leaves either an
   unapplied journal (home file untouched by this batch) or a complete
-  journal that can *repair* any torn home page;
+  journal that can *repair* any torn home page.  The journal file is
+  persistent: created by the PMO's first flush, then rewritten in
+  place and retired in place, so a steady-state flush makes no
+  create, truncate or unlink (see "Journal retire rule" below);
 * **quarantine** — a page that fails verification with no journal copy
   is bit rot: the owning PMO is quarantined (readable, never writable)
   and the failure surfaces as a typed
@@ -39,11 +42,31 @@ Data file layout (little endian)::
 An absent page is an all-zero slot (a filesystem hole): the marker
 distinguishes "never written" from "written and must verify".
 
-Journal file layout::
+Journal file layout (one file per PMO, every batch written at offset
+0; bytes past the commit record are a previous, longer batch's
+leftovers and are never read)::
 
-    magic "TERPJRN1" | u64 batch_seq | u32 page_count
+    head:   magic "TERPJRN2" | u64 batch_seq | u32 page_count
     page_count x (u64 page_index | u32 crc32 | 4096 page bytes)
-    commit: magic "JRNCMT!!" | u64 batch_seq
+    commit: magic "JRNCMT!!" | u64 batch_seq | u32 crc32(head + entries)
+
+A journal is *live* — applied by recovery and by the next flush —
+only when the head magic is ``TERPJRN2``, the commit record carries
+the head's seq, every page CRC holds and the commit CRC covers the
+whole extent.  The whole-extent CRC is what makes in-place rewrites
+safe: a rewrite torn by a crash can leave the previous batch's head
+and commit record around a slot that already holds the new batch's
+entry, and that slot's own CRC still passes.
+
+Journal retire rule: once a batch is home (fsynced), the journal is
+retired by overwriting its magic with ``TERPJRN-`` — *without* an
+fsync.  If the retire never reaches media, recovery finds a complete
+journal whose batch is already home and replays it idempotently.  The
+next batch's home writes start only after that batch's own journal
+fsync has returned, so the file on media never holds an older batch
+once home holds a newer one.  A retired journal keeps its seq, and
+recovery seeds the PMO's flush seq from it, so batch seqs stay
+monotone across restarts.
 """
 
 from __future__ import annotations
@@ -67,7 +90,9 @@ from repro.core.units import PAGE_SIZE
 from repro.pmo.pmo import SparseBytes
 
 FILE_MAGIC = b"TERPDUR1"
-JOURNAL_MAGIC = b"TERPJRN1"
+JOURNAL_MAGIC = b"TERPJRN2"
+#: The magic a retired journal is overwritten with (same length).
+JOURNAL_RETIRED = b"TERPJRN-"
 JOURNAL_COMMIT = b"JRNCMT!!"
 FORMAT_VERSION = 1
 #: Marks a page slot as holding flushed (verifiable) bytes.
@@ -79,7 +104,7 @@ SLOT_SIZE = PAGE_SIZE + TRAILER.size
 _HEADER = struct.Struct("<8sHHIQQHH")
 _JRN_HEAD = struct.Struct("<8sQI")
 _JRN_PAGE = struct.Struct("<QI")
-_JRN_COMMIT = struct.Struct("<8sQ")
+_JRN_COMMIT = struct.Struct("<8sQI")        # magic, seq, extent crc32
 
 #: Default bound on pages verified per scrub pass.
 SCRUB_PAGES_PER_PASS = 8
@@ -100,6 +125,130 @@ def _safe_filename(name: str) -> str:
     safe = re.sub(r"[^A-Za-z0-9._-]", "_", name)[:64]
     digest = hashlib.sha1(name.encode("utf-8")).hexdigest()[:10]
     return f"{safe}-{digest}"
+
+
+# -- the journal file (shared with the replication applier) ----------------
+
+def write_journal(path: Path, seq: int, pages: List[Tuple[int, bytes]],
+                  *, fsync: bool = True) -> None:
+    """Write one batch into the journal at ``path``, in place.
+
+    One joined write at offset 0, then one fsync.  The file is created
+    by its first batch and never truncated: a shorter batch leaves the
+    previous batch's tail behind its commit record, where no parser
+    looks.
+    """
+    crc32 = zlib.crc32
+    jrn_page = _JRN_PAGE.pack
+    head = _JRN_HEAD.pack(JOURNAL_MAGIC, seq, len(pages))
+    parts = [head]
+    extent_crc = crc32(head)
+    for index, page in pages:
+        entry = jrn_page(index, crc32(page) & 0xFFFFFFFF)
+        extent_crc = crc32(page, crc32(entry, extent_crc))
+        parts.append(entry)
+        parts.append(page)
+    parts.append(_JRN_COMMIT.pack(JOURNAL_COMMIT, seq,
+                                  extent_crc & 0xFFFFFFFF))
+    created = False
+    try:
+        fh = open(path, "r+b")
+    except FileNotFoundError:
+        fh = open(path, "wb")            # the PMO's first batch
+        created = True
+    with fh:
+        fh.write(b"".join(parts))
+        fh.flush()
+        if fsync:
+            os.fsync(fh.fileno())
+    if created and fsync:
+        # Once per journal: make the new directory entry durable too.
+        dir_fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
+
+
+def retire_journal(path: Path) -> None:
+    """Retire the journal at ``path`` by overwriting its magic.
+
+    No fsync: a retire lost to a crash leaves a complete journal whose
+    batch is already home, which recovery replays idempotently.
+    """
+    try:
+        with open(path, "r+b") as fh:
+            fh.write(JOURNAL_RETIRED)
+    except FileNotFoundError:
+        pass
+
+
+def read_journal(path: Path) -> Optional[Tuple[int, Dict[int, bytes]]]:
+    """The live journal's ``(seq, pages)``; None when the journal is
+    absent, retired, torn, or fails any CRC (never applied)."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(_JRN_HEAD.size)
+            if len(head) < _JRN_HEAD.size:
+                return None
+            magic, seq, count = _JRN_HEAD.unpack(head)
+            if magic != JOURNAL_MAGIC:
+                return None        # retired (or never a journal)
+            body = _JRN_HEAD.size + count * (_JRN_PAGE.size + PAGE_SIZE)
+            if os.fstat(fh.fileno()).st_size < body + _JRN_COMMIT.size:
+                return None        # torn journal: never applied
+            raw = head + fh.read(body + _JRN_COMMIT.size - len(head))
+    except FileNotFoundError:
+        return None
+    if len(raw) < body + _JRN_COMMIT.size:
+        return None
+    commit_magic, commit_seq, extent_crc = _JRN_COMMIT.unpack_from(
+        raw, body)
+    if commit_magic != JOURNAL_COMMIT or commit_seq != seq:
+        return None
+    view = memoryview(raw)
+    if zlib.crc32(view[:body]) & 0xFFFFFFFF != extent_crc:
+        return None                # mixed batches: a torn rewrite
+    pages: Dict[int, bytes] = {}
+    pos = _JRN_HEAD.size
+    for _ in range(count):
+        index, crc = _JRN_PAGE.unpack_from(raw, pos)
+        pos += _JRN_PAGE.size
+        page = raw[pos:pos + PAGE_SIZE]
+        pos += PAGE_SIZE
+        if _page_crc(page) != crc:
+            return None            # journal itself corrupt: unusable
+        pages[index] = page
+    return seq, pages
+
+
+def journal_seq(path: Path) -> int:
+    """The seq of the last batch written to the journal at ``path``,
+    live or retired; 0 when there is none."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(_JRN_HEAD.size)
+    except FileNotFoundError:
+        return 0
+    if len(head) < _JRN_HEAD.size:
+        return 0
+    magic, seq, _ = _JRN_HEAD.unpack(head)
+    return seq if magic in (JOURNAL_MAGIC, JOURNAL_RETIRED) else 0
+
+
+def write_slots(path: Path, pages: List[Tuple[int, bytes]], *,
+                fsync: bool = True) -> None:
+    """Write page copies (with fresh trailers) to their home slots."""
+    crc32 = zlib.crc32
+    trailer_pack = TRAILER.pack
+    with open(path, "r+b") as fh:
+        for index, page in pages:
+            fh.seek(HEADER_SPAN + index * SLOT_SIZE)
+            fh.write(page + trailer_pack(crc32(page) & 0xFFFFFFFF,
+                                         PAGE_MARKER))
+        fh.flush()
+        if fsync:
+            os.fsync(fh.fileno())
 
 
 class DurablePages(SparseBytes):
@@ -126,14 +275,18 @@ class _StoreEntry:
     """One registered PMO's durable state."""
 
     __slots__ = ("pmo", "path", "journal_path", "flush_seq",
-                 "scrub_cursor")
+                 "journal_live", "scrub_cursor")
 
-    def __init__(self, pmo: "Pmo", path: Path,
-                 journal_path: Path) -> None:
+    def __init__(self, pmo: "Pmo", path: Path, journal_path: Path,
+                 flush_seq: int = 0) -> None:
         self.pmo = pmo
         self.path = path
         self.journal_path = journal_path
-        self.flush_seq = 0
+        self.flush_seq = flush_seq
+        #: the journal file may hold a batch that is not (all) home:
+        #: set from the journal write until its retire, so only a torn
+        #: or failed home write leaves it set for the next commit.
+        self.journal_live = False
         self.scrub_cursor = 0
 
 
@@ -200,7 +353,7 @@ class GroupCommitter:
         self.interval_s = max(0, interval_us) / 1e6
         self.max_batch = max(1, max_batch)
         self._cond = threading.Condition()
-        self._queue: List[Tuple["_StoreEntry",
+        self._queue: List[Tuple["_StoreEntry", int,
                                 List[Tuple[int, bytes]],
                                 CommitTicket]] = []
         self._thread: Optional[threading.Thread] = None
@@ -210,14 +363,14 @@ class GroupCommitter:
         self.batches = 0
         self.submitted = 0
 
-    def submit(self, entry: "_StoreEntry",
+    def submit(self, entry: "_StoreEntry", seq: int,
                pages: List[Tuple[int, bytes]]) -> CommitTicket:
         ticket = CommitTicket()
         with self._cond:
             if self._aborted or self._stopping:
                 ticket.fail(PmoError("group committer is stopped"))
                 return ticket
-            self._queue.append((entry, pages, ticket))
+            self._queue.append((entry, seq, pages, ticket))
             self.submitted += 1
             if self._thread is None:
                 self._thread = threading.Thread(
@@ -244,7 +397,7 @@ class GroupCommitter:
             if batch:
                 self._commit_batch(batch)
 
-    def _commit_batch(self, batch: List[Tuple["_StoreEntry",
+    def _commit_batch(self, batch: List[Tuple["_StoreEntry", int,
                                               List[Tuple[int, bytes]],
                                               CommitTicket]]) -> None:
         self.batches += 1
@@ -257,11 +410,16 @@ class GroupCommitter:
                 # forces concurrent psyncs to merge deterministically.
                 time.sleep(rule.delay_ns / 1e9)
         # Merge same-PMO snapshots in submit order: later snapshots of
-        # a page supersede earlier ones within the combined journal.
+        # a page supersede earlier ones within the combined journal,
+        # and the merged batch carries the newest snapshot's seq — not
+        # the PMO's live counter, which a snapshot claimed after this
+        # batch was taken has already advanced.
         groups: Dict[int, Tuple["_StoreEntry", Dict[int, bytes],
                                 List[Tuple[CommitTicket, int]]]] = {}
-        for entry, pages, ticket in batch:
+        seqs: Dict[int, int] = {}
+        for entry, seq, pages, ticket in batch:
             key = id(entry)
+            seqs[key] = seq
             group = groups.get(key)
             if group is None:
                 groups[key] = (entry, dict(pages),
@@ -269,10 +427,11 @@ class GroupCommitter:
             else:
                 group[1].update(pages)
                 group[2].append((ticket, len(pages)))
-        for entry, merged, tickets in groups.values():
+        for key, (entry, merged, tickets) in groups.items():
+            seq = seqs[key]
             pages = sorted(merged.items())
             try:
-                self._store._commit_entry(entry, pages)
+                self._store._commit_entry(entry, seq, pages)
             except BaseException as exc:
                 for ticket, _ in tickets:
                     ticket.fail(exc)
@@ -288,8 +447,7 @@ class GroupCommitter:
                     # never raises: a dead or absent standby degrades
                     # replication, never local durability.
                     shipper.ship_commit(entry.pmo.name,
-                                        entry.pmo.pmo_id,
-                                        entry.flush_seq, pages)
+                                        entry.pmo.pmo_id, seq, pages)
                 for ticket, count in tickets:
                     ticket.complete(count)
 
@@ -299,7 +457,7 @@ class GroupCommitter:
         with self._cond:
             self._stopping = True
             if not drain:
-                for _, _, ticket in self._queue:
+                for _, _, _, ticket in self._queue:
                     ticket.fail(PmoError("group committer stopped "
                                          "before the commit"))
                 self._queue.clear()
@@ -318,7 +476,7 @@ class GroupCommitter:
         with self._cond:
             self._aborted = True
             self._stopping = True
-            for _, _, ticket in self._queue:
+            for _, _, _, ticket in self._queue:
                 ticket.fail(PmoError("daemon crashed before the "
                                      "commit"))
             self._queue.clear()
@@ -446,8 +604,10 @@ class PmoStore:
         with self._lock:
             self.unregister(name)
             with self._io_lock:
-                self.path_for(name).unlink(missing_ok=True)
+                # Journal first: a crash between the two unlinks must
+                # not leave a journal for a later PMO of the same name.
                 self.journal_path_for(name).unlink(missing_ok=True)
+                self.path_for(name).unlink(missing_ok=True)
         # Outside ``_lock`` for the same lock-order reason as the
         # register hook.  A destroy the link was down for is healed by
         # the reconciling bootstrap on reconnect.
@@ -472,7 +632,7 @@ class PmoStore:
     # -- flush (the durability point) --------------------------------------
 
     def _snapshot(self, pmo: "Pmo") -> Optional[
-            Tuple[_StoreEntry, List[Tuple[int, bytes]]]]:
+            Tuple[_StoreEntry, int, List[Tuple[int, bytes]]]]:
         """Stage a flush: copy the dirty pages and claim a flush_seq.
 
         Metadata-lock only — no file I/O — so the serving thread pays
@@ -496,33 +656,38 @@ class PmoStore:
             pages = [(index, bytes(resident.get(index, blank)))
                      for index in dirty]
             storage.dirty.clear()
-            return entry, pages
+            return entry, entry.flush_seq, pages
 
-    def _commit_entry(self, entry: _StoreEntry,
+    def _commit_entry(self, entry: _StoreEntry, seq: int,
                       pages: List[Tuple[int, bytes]]) -> None:
         """Make one PMO's page batch durable: journal-before-home.
 
         Double-write protocol, unchanged from the per-psync era:
         journal first (fsync), then home slots (fsync), then retire
-        the journal.  A crash between the two fsyncs leaves a complete
-        journal from which every home page is repairable.  Holds only
-        the I/O lock — the metadata lock stays free for snapshots.
+        the journal in place (no fsync; see the module docstring).  A
+        crash between the two fsyncs leaves a complete journal from
+        which every home page is repairable.  Holds only the I/O lock —
+        the metadata lock stays free for snapshots.
         """
         with self._io_lock:
-            pending = self._journal_pages(entry.journal_path)
-            if pending:
+            if entry.journal_live:
                 # A journal survives a flush only when a home write was
-                # torn: apply it before this batch's journal replaces
-                # it, or the torn page would lose its repair source.
-                self._apply_pages(entry.path, pending)
-                entry.journal_path.unlink(missing_ok=True)
-            self._write_journal(entry, pages)
+                # torn (or failed): apply it before this batch's journal
+                # overwrites it, or the torn page would lose its repair
+                # source.
+                pending = read_journal(entry.journal_path)
+                if pending is not None:
+                    write_slots(entry.path, sorted(pending[1].items()),
+                                fsync=self.fsync)
+            entry.journal_live = True
+            self._write_journal(entry, seq, pages)
             torn_pages, rot_pages = self._write_home(entry, pages)
             if not torn_pages:
                 # The batch is fully home: retire the journal.  A torn
                 # write (injected or real) keeps it — that journal is
                 # the repair source scrub and recovery rely on.
-                entry.journal_path.unlink(missing_ok=True)
+                retire_journal(entry.journal_path)
+                entry.journal_live = False
             if rot_pages:
                 self._inject_bit_rot(entry, rot_pages)
 
@@ -550,27 +715,11 @@ class PmoStore:
         snap = self._snapshot(pmo)
         if snap is None:
             return None
-        entry, pages = snap
-        return self.committer.submit(entry, pages)
+        return self.committer.submit(*snap)
 
-    def _write_journal(self, entry: _StoreEntry,
+    def _write_journal(self, entry: _StoreEntry, seq: int,
                        pages: List[Tuple[int, bytes]]) -> None:
-        # Single joined write: the journal blob is assembled in memory
-        # (headers pre-packed per page) and hits the file in one
-        # syscall before the one fsync.
-        crc32 = zlib.crc32
-        jrn_page = _JRN_PAGE.pack
-        parts = [_JRN_HEAD.pack(JOURNAL_MAGIC, entry.flush_seq,
-                                len(pages))]
-        for index, page in pages:
-            parts.append(jrn_page(index, crc32(page) & 0xFFFFFFFF))
-            parts.append(page)
-        parts.append(_JRN_COMMIT.pack(JOURNAL_COMMIT, entry.flush_seq))
-        with open(entry.journal_path, "wb") as fh:
-            fh.write(b"".join(parts))
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
+        write_journal(entry.journal_path, seq, pages, fsync=self.fsync)
 
     def _write_home(self, entry: _StoreEntry,
                     pages: List[Tuple[int, bytes]]
@@ -608,18 +757,6 @@ class PmoStore:
                 os.fsync(fh.fileno())
         return torn, rot
 
-    def _apply_pages(self, path: Path,
-                     pages: Dict[int, bytes]) -> None:
-        """Write journal page copies to their home slots (fsynced)."""
-        with open(path, "r+b") as fh:
-            for index, page in sorted(pages.items()):
-                fh.seek(HEADER_SPAN + index * SLOT_SIZE)
-                fh.write(page)
-                fh.write(TRAILER.pack(_page_crc(page), PAGE_MARKER))
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-
     def _inject_bit_rot(self, entry: _StoreEntry,
                         indices: List[int]) -> None:
         """Flip one bit in each page *after* the journal retired —
@@ -645,36 +782,6 @@ class PmoStore:
         crc, marker = TRAILER.unpack_from(blob, PAGE_SIZE)
         return page, crc, marker
 
-    def _journal_pages(self, journal_path: Path
-                       ) -> Optional[Dict[int, bytes]]:
-        """The journal's page copies, or None if absent/uncommitted."""
-        try:
-            raw = journal_path.read_bytes()
-        except FileNotFoundError:
-            return None
-        if len(raw) < _JRN_HEAD.size + _JRN_COMMIT.size:
-            return None
-        magic, seq, count = _JRN_HEAD.unpack_from(raw, 0)
-        if magic != JOURNAL_MAGIC:
-            return None
-        body = _JRN_HEAD.size + count * (_JRN_PAGE.size + PAGE_SIZE)
-        if len(raw) < body + _JRN_COMMIT.size:
-            return None            # torn journal: never applied
-        commit_magic, commit_seq = _JRN_COMMIT.unpack_from(raw, body)
-        if commit_magic != JOURNAL_COMMIT or commit_seq != seq:
-            return None
-        pages: Dict[int, bytes] = {}
-        pos = _JRN_HEAD.size
-        for _ in range(count):
-            index, crc = _JRN_PAGE.unpack_from(raw, pos)
-            pos += _JRN_PAGE.size
-            page = raw[pos:pos + PAGE_SIZE]
-            pos += PAGE_SIZE
-            if _page_crc(page) != crc:
-                return None        # journal itself corrupt: unusable
-            pages[index] = page
-        return pages
-
     def verify_page(self, name: str, index: int, *,
                     repair: bool = True) -> str:
         """Verify one on-disk page; returns ``ok``/``absent``/
@@ -698,8 +805,8 @@ class PmoStore:
                     return "absent"
                 if _page_crc(page) == crc:
                     return "ok"
-                journal = self._journal_pages(entry.journal_path)
-                good = journal.get(index) if journal else None
+                journal = read_journal(entry.journal_path)
+                good = journal[1].get(index) if journal else None
                 if good is None:
                     resident = entry.pmo.storage._pages.get(index)
                     if not repair or resident is None:
@@ -758,22 +865,25 @@ class PmoStore:
 
     def committed_state(self, name: str
                         ) -> Tuple[bytes, int, List[Tuple[int, bytes]]]:
-        """One PMO's durable state: ``(header, flush_seq, pages)``.
+        """One PMO's durable state: ``(header, seq, pages)``.
 
         Reads the *on-media* bytes (home slots overlaid with any
         retained journal batch), never the resident copy — exactly
         what a crash right now would recover, which is exactly what a
         replication bootstrap must ship.  Pages whose marker is absent
-        or whose CRC fails are skipped (scrub owns those).
+        or whose CRC fails are skipped (scrub owns those).  ``seq`` is
+        the last committed batch's, read from the journal head: a
+        snapshot claimed but not yet committed is not in ``pages``, so
+        its seq must not label them.
         """
         with self._lock:
             entry = self._entries.get(name)
             if entry is None:
                 raise PmoError(f"PMO {name!r} is not registered")
-            flush_seq = entry.flush_seq
             with self._io_lock:
+                flush_seq = journal_seq(entry.journal_path)
                 raw = entry.path.read_bytes()
-                journal = self._journal_pages(entry.journal_path)
+                journal = read_journal(entry.journal_path)
         header = bytes(raw[:HEADER_SPAN]).ljust(HEADER_SPAN, b"\x00")
         count = max(0, (len(raw) - HEADER_SPAN) + SLOT_SIZE - 1) \
             // SLOT_SIZE
@@ -792,7 +902,7 @@ class PmoStore:
                 continue
             pages[index] = page
         if journal:
-            pages.update(journal)
+            pages.update(journal[1])
         return header, flush_seq, sorted(pages.items())
 
     def scrub(self, max_pages: int = SCRUB_PAGES_PER_PASS
@@ -865,7 +975,10 @@ class PmoStore:
                                            pmo.quarantine_reason))
             report.loaded.append(pmo)
             with self._lock:
-                entry = _StoreEntry(pmo, path, journal_path)
+                # Seqs continue from the journal's last batch (retiring
+                # keeps the seq), so they stay monotone across restarts.
+                entry = _StoreEntry(pmo, path, journal_path,
+                                    journal_seq(journal_path))
                 self._entries[pmo.name] = entry
                 self._scrub_order.append(pmo.name)
         return report
@@ -892,7 +1005,8 @@ class PmoStore:
         owner = raw_header[pos + name_len:
                            pos + name_len + owner_len].decode("utf-8")
 
-        journal = self._journal_pages(journal_path)
+        live = read_journal(journal_path)
+        journal = live[1] if live else None
         applied = 1 if journal else 0
         repaired = 0
         storage = DurablePages(size_bytes)
@@ -952,7 +1066,7 @@ class PmoStore:
                 continue
             storage._pages[index] = bytearray(page_bytes)
         if journal:
-            journal_path.unlink(missing_ok=True)
+            retire_journal(journal_path)
 
         if not storage._pages and not bad_pages:
             # Created but never flushed: only the durable header made

@@ -28,7 +28,7 @@ import threading
 from repro.replication.applier import StandbyDaemon
 from repro.service.server import (
     DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS,
-    DEFAULT_SWEEP_PERIOD_NS)
+    DEFAULT_SWEEP_PERIOD_NS, fix_malloc_thresholds)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,6 +99,7 @@ def make_standby(args: argparse.Namespace) -> StandbyDaemon:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    fix_malloc_thresholds()
     standby = make_standby(args)
     port = standby.start()
     if not args.quiet:

@@ -2,9 +2,10 @@
 
 :class:`JournalApplier` continuously replays shipped frames into its
 own pool directory using the durable store's *exact* file formats
-(header page, CRC-trailed page slots, journal-before-home batches) —
-imported from :mod:`repro.pmo.store`, never re-derived — so the
-standby's directory is at all times a valid pool that
+(header page, CRC-trailed page slots, journal-before-home batches) and
+its journal writer, in-place retire and slot writer — imported from
+:mod:`repro.pmo.store`, never re-derived — so the standby's directory
+is at all times a valid pool that
 :meth:`~repro.pmo.store.PmoStore.load_all` can recover.  A batch is
 acked only after both of its fsyncs, which is the standby's half of
 invariant I7: an ack the primary's semi-sync commit waited for means
@@ -41,8 +42,8 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.core.errors import TerpError
 from repro.core.units import PAGE_SIZE
 from repro.pmo.store import (
-    HEADER_SPAN, JOURNAL_COMMIT, JOURNAL_MAGIC, PAGE_MARKER, SLOT_SIZE,
-    TRAILER, _JRN_COMMIT, _JRN_HEAD, _JRN_PAGE, _safe_filename)
+    HEADER_SPAN, _safe_filename, retire_journal, write_journal,
+    write_slots)
 from repro.replication.wire import (
     REPL_PROTOCOL_VERSION, ReplicationWireError, recv_msg, send_msg)
 from repro.service.recovery import SessionJournal
@@ -119,12 +120,14 @@ class JournalApplier:
                 self.chain_errors += 1
                 raise ReplicationChainError(
                     f"batch for {name!r} before its header")
-            # The same double-write discipline as the primary: a
-            # standby crash mid-apply leaves either an unapplied
-            # journal or a committed one recovery replays.
-            self._write_journal(name, seq, pages)
-            self._write_home(path, pages)
-            self.journal_path_for(name).unlink(missing_ok=True)
+            # The same double-write discipline as the primary, through
+            # the same persistent journal: a standby crash mid-apply
+            # leaves either an unapplied journal or a committed one
+            # recovery replays.
+            journal = self.journal_path_for(name)
+            write_journal(journal, seq, pages, fsync=self.fsync)
+            write_slots(path, pages, fsync=self.fsync)
+            retire_journal(journal)
             self.applied[name] = seq
             self.batches_applied += 1
             self.pages_applied += len(pages)
@@ -137,9 +140,9 @@ class JournalApplier:
 
     def apply_destroy(self, name: str) -> None:
         with self._lock:
-            self.path_for(name).unlink(missing_ok=True)
-            self.journal_path_for(name).unlink(missing_ok=True)
             self.applied.pop(name, None)
+            self.journal_path_for(name).unlink(missing_ok=True)
+            self.path_for(name).unlink(missing_ok=True)
 
     def apply_reset(self, names: List[str]) -> None:
         """Reconcile the mirror with the primary's registered set (the
@@ -147,20 +150,23 @@ class JournalApplier:
         the primary no longer has — a destroy that raced a disconnect,
         or a stale prior generation in this directory — and restart
         the mirrored session journal, which the primary re-ships in
-        full immediately after."""
+        full immediately after.
+
+        Pruned names leave ``applied`` before their files go, so an
+        observer that sees a file gone also sees its name gone."""
         live = {str(name) for name in names}
         keep = {_safe_filename(name) for name in live}
         with self._lock:
-            for path in self.root.glob("*.pmo"):
-                if path.stem not in keep:
-                    path.unlink(missing_ok=True)
+            for name in list(self.applied):
+                if name not in live:
+                    del self.applied[name]
             for path in self.root.glob("*.journal"):
                 if path != self._journal.path \
                         and path.stem not in keep:
                     path.unlink(missing_ok=True)
-            for name in list(self.applied):
-                if name not in live:
-                    del self.applied[name]
+            for path in self.root.glob("*.pmo"):
+                if path.stem not in keep:
+                    path.unlink(missing_ok=True)
             self._journal.close()
             self._journal.path.unlink(missing_ok=True)
 
@@ -208,31 +214,6 @@ class JournalApplier:
                     f"shipped page {index} of {name!r} failed CRC")
             pages.append((index, page))
         return pages
-
-    def _write_journal(self, name: str, seq: int,
-                       pages: List[Tuple[int, bytes]]) -> None:
-        parts = [_JRN_HEAD.pack(JOURNAL_MAGIC, seq, len(pages))]
-        for index, page in pages:
-            parts.append(_JRN_PAGE.pack(index,
-                                        zlib.crc32(page) & 0xFFFFFFFF))
-            parts.append(page)
-        parts.append(_JRN_COMMIT.pack(JOURNAL_COMMIT, seq))
-        with open(self.journal_path_for(name), "wb") as fh:
-            fh.write(b"".join(parts))
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
-
-    def _write_home(self, path: Path,
-                    pages: List[Tuple[int, bytes]]) -> None:
-        with open(path, "r+b") as fh:
-            for index, page in pages:
-                fh.seek(HEADER_SPAN + index * SLOT_SIZE)
-                fh.write(page + TRAILER.pack(
-                    zlib.crc32(page) & 0xFFFFFFFF, PAGE_MARKER))
-            fh.flush()
-            if self.fsync:
-                os.fsync(fh.fileno())
 
 
 class StandbyDaemon:

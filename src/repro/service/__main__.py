@@ -24,7 +24,7 @@ import sys
 from repro.pmo.store import DEFAULT_COMMIT_INTERVAL_US
 from repro.service.server import (
     DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS,
-    DEFAULT_SWEEP_PERIOD_NS, TerpService)
+    DEFAULT_SWEEP_PERIOD_NS, TerpService, fix_malloc_thresholds)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,6 +175,7 @@ async def _amain(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    fix_malloc_thresholds()
     try:
         return asyncio.run(_amain(args))
     except KeyboardInterrupt:

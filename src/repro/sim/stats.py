@@ -132,14 +132,11 @@ def collect_exposure(monitor: ExposureMonitor, wall_ns: int,
     result = []
     for pmo in monitor.ew.keys():
         ew_stats = monitor.ew.stats(pmo)
-        tew_windows = []
-        total_tew_ns = 0
+        tew_stats = WindowStats()
         for key in monitor.tew.keys():
             if isinstance(key, tuple) and key[1] == pmo:
-                wins = monitor.tew.windows(key)
-                tew_windows.extend(wins)
-                total_tew_ns += sum(w.length_ns for w in wins)
-        tew_stats = WindowStats.of(tew_windows)
+                tew_stats.merge(monitor.tew.stats(key))
+        total_tew_ns = tew_stats.total_ns
         result.append(PmoExposure(
             pmo=pmo,
             ew_avg_us=ns_to_us(ew_stats.avg_ns),

@@ -31,7 +31,10 @@ class TestWindowTracker:
         t.open("pmo", 100)
         w = t.close("pmo", 400)
         assert w == Window(100, 400)
-        assert t.windows("pmo") == [Window(100, 400)]
+        s = t.stats("pmo")
+        assert (s.count, s.total_ns, s.min_ns, s.max_ns) == \
+            (1, w.length_ns, 300, 300)
+        assert t.stats("other").count == 0
 
     def test_double_open_rejected(self):
         t = WindowTracker()
@@ -79,8 +82,18 @@ class TestWindowTracker:
         t.close("a", 10)
         t.open("b", 5)
         t.close("b", 25)
-        assert len(t.windows()) == 2
-        assert t.stats().total_ns == 30
+        s = t.stats()
+        assert s.count == 2
+        assert s.total_ns == 30
+        assert (s.min_ns, s.max_ns) == (10, 20)
+        assert t.stats("a").total_ns == 10
+
+    def test_stats_copy_is_detached(self):
+        t = WindowTracker()
+        t.open("a", 0)
+        t.close("a", 10)
+        t.stats("a").merge(t.stats("a"))
+        assert t.stats("a").count == 1
 
 
 class TestExposureMonitor:

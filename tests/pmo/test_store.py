@@ -1,6 +1,8 @@
 """The durable pool backend: format, flush, repair, scrub, quarantine."""
 
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -10,7 +12,8 @@ from repro.core.units import MIB, PAGE_SIZE
 from repro.faults.plan import FaultPlan, FaultRule
 from repro.pmo.api import PmoLibrary
 from repro.pmo.store import (
-    DurablePages, PmoStore, SCRUB_PAGES_PER_PASS)
+    JOURNAL_MAGIC, JOURNAL_RETIRED, DurablePages, PmoStore,
+    SCRUB_PAGES_PER_PASS, journal_seq, read_journal, write_journal)
 
 
 def make(tmp_path, *rules, seed=1):
@@ -146,7 +149,7 @@ class TestFlushAndPsync:
         store, lib = make(tmp_path)
         pmo, _ = populate(lib, "idem")
         assert store.flush(pmo) == 0     # dirty set cleared by psync
-        assert not store.journal_path_for("idem").exists()
+        assert read_journal(store.journal_path_for("idem")) is None
 
     def test_unregistered_flush_rejected(self, tmp_path):
         store, lib = make(tmp_path)
@@ -160,14 +163,14 @@ class TestJournalRepair:
     def test_torn_page_repaired_at_load(self, tmp_path):
         store, lib = make(tmp_path, torn_data_page_rule())
         _, oid = populate(lib, "torn")
-        assert store.journal_path_for("torn").exists()
+        assert read_journal(store.journal_path_for("torn")) is not None
         fresh = PmoStore(tmp_path)
         report = fresh.load_all()
         assert report.pages_repaired >= 1
         assert report.journals_applied == 1
         assert not report.quarantined and not report.denied
         # The journal is retired once applied.
-        assert not fresh.journal_path_for("torn").exists()
+        assert read_journal(fresh.journal_path_for("torn")) is None
         lib2 = PmoLibrary(store=fresh)
         lib2.manager.adopt(report.loaded[0])
         with lib2.thread(1):
@@ -185,12 +188,13 @@ class TestJournalRepair:
             oid = lib.pmalloc(pmo, 4096)
             lib.write(oid, b"E" * 4000)
             lib.psync(pmo)               # torn: journal kept
-            assert store.journal_path_for("heal").exists()
+            assert read_journal(store.journal_path_for("heal")) \
+                is not None
             oid2 = lib.pmalloc(pmo, 4096)
             lib.write(oid2, b"F" * 4000)
             lib.psync(pmo)               # clean: journal retired
             lib.detach(pmo)
-        assert not store.journal_path_for("heal").exists()
+        assert read_journal(store.journal_path_for("heal")) is None
         fresh = PmoStore(tmp_path)
         report = fresh.load_all()
         assert not report.quarantined and not report.denied
@@ -208,7 +212,7 @@ class TestJournalRepair:
         store, lib = make(tmp_path)
         populate(lib, "trunc")
         jp = store.journal_path_for("trunc")
-        jp.write_bytes(b"TERPJRN1" + b"\x00" * 40)  # headerish garbage
+        jp.write_bytes(JOURNAL_MAGIC + b"\x00" * 40)  # headerish garbage
         fresh = PmoStore(tmp_path)
         report = fresh.load_all()
         assert report.journals_applied == 0
@@ -366,7 +370,7 @@ class TestGroupCommit:
             lib.detach(pmo)
         assert (path.stat().st_mtime_ns,
                 store.committer.submitted) == before
-        assert not store.journal_path_for("zero").exists()
+        assert read_journal(store.journal_path_for("zero")) is None
 
     def test_concurrent_psyncs_share_one_commit_batch(self, tmp_path):
         # A wide commit window: the first snapshot's leader waits for
@@ -418,3 +422,154 @@ class TestGroupCommit:
         pmo.storage.write(oid.offset, b"lost")
         with pytest.raises(PmoError):
             store.flush(pmo)
+
+
+def restore_magic(path):
+    """Undo a retire, as if the unsynced magic overwrite never reached
+    media before a crash."""
+    raw = bytearray(path.read_bytes())
+    assert raw[:8] == JOURNAL_RETIRED
+    raw[:8] = JOURNAL_MAGIC
+    path.write_bytes(bytes(raw))
+
+
+def reload_read(tmp_path, oid, length):
+    """Recover the pool in a fresh store; returns (report, bytes)."""
+    fresh = PmoStore(tmp_path)
+    report = fresh.load_all()
+    lib = PmoLibrary(store=fresh)
+    pmo = report.loaded[0]
+    lib.manager.adopt(pmo)
+    with lib.thread(1):
+        lib.attach(pmo, Access.READ)
+        data = lib.read(oid, length)
+        lib.detach(pmo)
+    return report, data
+
+
+class TestPersistentJournal:
+    """Crash states of the in-place journal: written at offset 0,
+    retired by overwriting its magic without an fsync."""
+
+    def test_steady_state_psync_makes_no_metadata_ops(self, tmp_path,
+                                                      meta_ops):
+        store, lib = make(tmp_path)
+        pmo, oid = populate(lib, "steady")     # first psync: one create
+        meta_ops.armed = True
+        with lib.thread(1):
+            lib.attach(pmo)
+            for round_ in range(5):
+                lib.write(oid, bytes([round_]) * 4000)
+                assert lib.psync(pmo) >= 1
+            lib.detach(pmo)
+        meta_ops.armed = False
+        assert meta_ops.ops == []
+        store.close()
+
+    def test_journal_persists_retired(self, tmp_path):
+        store, lib = make(tmp_path)
+        populate(lib, "kept")
+        journal = store.journal_path_for("kept")
+        assert journal.read_bytes()[:8] == JOURNAL_RETIRED
+        assert read_journal(journal) is None
+
+    def test_retired_journal_never_applied(self, tmp_path):
+        store, lib = make(tmp_path)
+        _, oid = populate(lib, "retired", b"R" * 4000)
+        report, data = reload_read(tmp_path, oid, 4000)
+        assert report.journals_applied == 0
+        assert report.pages_repaired == 0
+        assert data == b"R" * 4000
+
+    def test_lost_retire_replays_idempotently(self, tmp_path):
+        store, lib = make(tmp_path)
+        pmo, oid = populate(lib, "lost", b"1" * 4000)
+        with lib.thread(1):
+            lib.attach(pmo)
+            lib.write(oid, b"2" * 4000)
+            lib.psync(pmo)
+            lib.detach(pmo)
+        restore_magic(store.journal_path_for("lost"))
+        report, data = reload_read(tmp_path, oid, 4000)
+        assert report.journals_applied == 1
+        # Every journaled page was already home: nothing to repair.
+        assert report.pages_repaired == 0
+        assert not report.quarantined and not report.denied
+        assert data == b"2" * 4000
+        # Recovery retires it again: a second load applies nothing.
+        again, data = reload_read(tmp_path, oid, 4000)
+        assert again.journals_applied == 0 and data == b"2" * 4000
+
+    def test_mixed_journal_rejected_home_authoritative(self, tmp_path):
+        """A torn in-place rewrite: the older batch's head and commit
+        record around one slot that already holds the newer batch's
+        entry.  Every per-page CRC passes; the whole-extent CRC does
+        not, so nothing is applied and home stays authoritative."""
+        store, lib = make(tmp_path)
+        _, oid = populate(lib, "mixed", b"O" * 4000)
+        journal = store.journal_path_for("mixed")
+        restore_magic(journal)
+        seq, older = read_journal(journal)
+        older_bytes = journal.read_bytes()
+        # The newer batch: same page set, the data page rewritten.
+        data_page = oid.offset // PAGE_SIZE
+        newer = sorted(older.items())
+        newer = [(i, b"N" * PAGE_SIZE if i == data_page else page)
+                 for i, page in newer]
+        scratch = tmp_path / "newer.scratch"
+        write_journal(scratch, seq + 1, newer)
+        newer_bytes = scratch.read_bytes()
+        scratch.unlink()
+        slot = [i for i, _ in newer].index(data_page)
+        entry = 12 + PAGE_SIZE          # u64 index | u32 crc | page
+        start = 20 + slot * entry       # past the 20-byte head
+        mixed = (older_bytes[:start] + newer_bytes[start:start + entry]
+                 + older_bytes[start + entry:])
+        journal.write_bytes(mixed)
+        # Precondition: the spliced entry is internally consistent.
+        index, crc = struct.unpack_from("<QI", mixed, start)
+        assert index == data_page
+        assert zlib.crc32(mixed[start + 12:start + entry]) == crc
+        assert read_journal(journal) is None
+        report, data = reload_read(tmp_path, oid, 4000)
+        assert report.journals_applied == 0
+        assert not report.quarantined and not report.denied
+        assert data == b"O" * 4000
+
+    def test_bit_rot_after_retire_still_quarantines(self, tmp_path):
+        """A retired journal still holds a copy of the rotted page,
+        but it is never a repair source."""
+        store, lib = make(
+            tmp_path, FaultRule(site="store.bit_rot", kind="rot",
+                                count=1, after=1))
+        populate(lib, "rotted")
+        journal = store.journal_path_for("rotted")
+        assert journal.exists() and read_journal(journal) is None
+        fresh = PmoStore(tmp_path)
+        report = fresh.load_all()
+        assert report.journals_applied == 0
+        assert [name for name, _ in report.quarantined] == ["rotted"]
+
+    def test_seq_monotone_across_restart(self, tmp_path):
+        store, lib = make(tmp_path)
+        pmo, oid = populate(lib, "seq")
+        with lib.thread(1):
+            lib.attach(pmo)
+            lib.write(oid, b"S" * 64)
+            lib.psync(pmo)
+            lib.detach(pmo)
+        journal = store.journal_path_for("seq")
+        before = journal_seq(journal)
+        assert before >= 2
+        fresh = PmoStore(tmp_path)
+        report = fresh.load_all()
+        assert fresh.committed_state("seq")[1] == before
+        lib2 = PmoLibrary(store=fresh)
+        pmo2 = report.loaded[0]
+        lib2.manager.adopt(pmo2)
+        with lib2.thread(1):
+            lib2.attach(pmo2)
+            lib2.write(oid, b"T" * 64)
+            lib2.psync(pmo2)
+            lib2.detach(pmo2)
+        assert journal_seq(journal) == before + 1

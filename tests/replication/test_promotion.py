@@ -59,9 +59,12 @@ class TestPromotion:
         assert status["enabled"] and status["connected"]
         assert status["lag"] == 0
         assert status["acked"] == status["shipped"] >= 1
-        client.close()
 
+        # alice stays connected and attached through the kill, so her
+        # window straddles the outage by construction (closing first
+        # would race the kill and end it as "connection lost").
         thread.kill()                 # in-process SIGKILL
+        client.close()
         time.sleep(0.05)              # a visible outage on the clock
         port = standby.promote(0)
         with SyncTerpClient(port=port, user="bob") as bob:

@@ -17,7 +17,8 @@ import pytest
 
 from repro.core.units import MIB, PAGE_SIZE
 from repro.pmo.api import PmoLibrary
-from repro.pmo.store import PmoStore
+from repro.pmo.store import (
+    JOURNAL_MAGIC, JOURNAL_RETIRED, PmoStore, read_journal)
 from repro.replication import (
     JournalApplier, JournalShipper, ReplicationChainError,
     StandbyDaemon)
@@ -69,12 +70,12 @@ class TestLiveReplay:
         mirror = PmoStore(tmp_path / "standby")
         report = mirror.load_all()
         assert len(report.loaded) >= 1
-        _, _, mirror_pages = mirror.committed_state("live")
+        _, mirror_seq, mirror_pages = mirror.committed_state("live")
         assert mirror_pages == primary_pages
-        # The applier's chain head tracks the primary's flush_seq
-        # (flush_seq itself is an in-memory counter that resets on a
-        # fresh load, so compare at the applier).
+        # The applier's chain head tracks the primary's flush_seq, and
+        # the mirror's journal keeps it across a load.
         assert standby.applier.applied["live"] == primary_seq
+        assert mirror_seq == primary_seq
         assert standby.applier.chain_errors == 0
         shipper.stop()
         store.close()
@@ -309,3 +310,56 @@ class TestApplierChain:
             applier.apply_batch("p", seq, prev, meta,
                                 payload[:-1])
         applier.close()
+
+
+class TestStandbyJournal:
+    """The standby writes, retires and recovers the same persistent
+    journal as the primary."""
+
+    def test_steady_state_psync_makes_no_metadata_ops(
+            self, tmp_path, standby, meta_ops):
+        store, shipper, lib = make_primary(tmp_path, standby)
+        pmo, oid = commit_rounds(lib, store, "steady", rounds=2)
+        meta_ops.armed = True
+        with lib.thread(1):
+            lib.attach(pmo)
+            for r in range(5):
+                lib.write(oid, bytes([r + 10]) * 512)
+                lib.psync(pmo)          # semi-sync: standby applied
+            lib.detach(pmo)
+        meta_ops.armed = False
+        assert meta_ops.ops == []
+        assert standby.applier.applied["steady"] == \
+            store.committed_state("steady")[1]
+        shipper.stop()
+        store.close()
+
+    def test_retired_standby_journal_never_applied(self, tmp_path,
+                                                   standby):
+        store, shipper, lib = make_primary(tmp_path, standby)
+        commit_rounds(lib, store, "mirror")
+        journal = standby.applier.journal_path_for("mirror")
+        assert journal.read_bytes()[:8] == JOURNAL_RETIRED
+        report = PmoStore(tmp_path / "standby").load_all()
+        assert report.journals_applied == 0
+        assert not report.quarantined and not report.denied
+        shipper.stop()
+        store.close()
+
+    def test_lost_standby_retire_replays_idempotently(self, tmp_path,
+                                                      standby):
+        store, shipper, lib = make_primary(tmp_path, standby)
+        commit_rounds(lib, store, "replay", rounds=4)
+        _, _, primary_pages = store.committed_state("replay")
+        journal = standby.applier.journal_path_for("replay")
+        raw = bytearray(journal.read_bytes())
+        raw[:8] = JOURNAL_MAGIC         # the unsynced retire was lost
+        journal.write_bytes(bytes(raw))
+        assert read_journal(journal) is not None
+        mirror = PmoStore(tmp_path / "standby")
+        report = mirror.load_all()
+        assert report.journals_applied == 1
+        assert report.pages_repaired == 0
+        assert mirror.committed_state("replay")[2] == primary_pages
+        shipper.stop()
+        store.close()

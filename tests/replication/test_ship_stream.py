@@ -153,6 +153,58 @@ class TestConcurrentPsyncStream:
         store.close()
 
 
+class TestBatchSeqs:
+    def test_batch_ships_its_own_seq_not_a_later_snapshots(
+            self, tmp_path):
+        """A snapshot claimed while the previous batch is mid-commit
+        must not lend that batch its seq: the two batches ship as
+        seqs 1 and 2, not 2 and 2 (the second would then be skipped
+        by the shipper as already covered)."""
+        store, lib, shipper = make(tmp_path)
+        pmo = lib.PMO_create("race", MIB)
+        entered, gate = threading.Event(), threading.Event()
+        real_home = store._write_home
+
+        def gated_home(entry, pages):
+            entered.set()
+            assert gate.wait(5.0)
+            return real_home(entry, pages)
+
+        store._write_home = gated_home
+        with lib.thread(1):
+            lib.attach(pmo)
+            oid = lib.pmalloc(pmo, 64)
+            lib.detach(pmo)
+        first = store.flush_async(pmo)
+        assert entered.wait(5.0)          # batch 1 holds the flusher
+        pmo.storage.write(oid.offset, b"two")
+        second = store.flush_async(pmo)   # claims seq 2 meanwhile
+        gate.set()
+        first.wait()
+        second.wait()
+        assert [seq for seq, _ in shipper.per_pmo("race")] == [1, 2]
+        store.close()
+
+    def test_committed_state_seq_excludes_queued_snapshots(
+            self, tmp_path):
+        """committed_state() labels on-media pages with the last
+        committed batch's seq, never a snapshot still in the commit
+        window."""
+        store, lib, shipper = make(tmp_path, interval_us=300_000)
+        pmo = lib.PMO_create("queued", MIB)
+        with lib.thread(1):
+            lib.attach(pmo)
+            oid = lib.pmalloc(pmo, 64)
+            lib.detach(pmo)
+        assert store.flush(pmo) >= 1      # seq 1, committed
+        pmo.storage.write(oid.offset, b"queued")
+        ticket = store.flush_async(pmo)   # seq 2, in the window
+        assert store.committed_state("queued")[1] == 1
+        ticket.wait()
+        assert store.committed_state("queued")[1] == 2
+        store.close()
+
+
 class TestShutdownPaths:
     def test_drain_ships_everything_queued(self, tmp_path):
         """close() drains: every queued snapshot commits and ships
