@@ -1,8 +1,10 @@
 """The cluster front-end: one wire endpoint over N terpd shards.
 
 :class:`TerpRouter` terminates client sessions (hello, version
-negotiation, resume tokens) itself and forwards everything else to
-the shard that owns the PMO being operated on:
+negotiation, resume tokens) itself, with the daemon's own front door
+(:func:`~repro.service.sessions.parse_hello`,
+:meth:`~repro.service.sessions.SessionRegistry.resume`), and forwards
+everything else to the shard that owns the PMO being operated on:
 
 * **name-addressed ops** (create/open/attach/psync/…) route by the
   consistent-hash ring over the PMO name;
@@ -32,6 +34,7 @@ cache still de-duplicates the retried op.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -42,11 +45,12 @@ from repro.cluster.ring import HashRing
 from repro.pmo.object_id import OFFSET_BITS
 from repro.service import protocol
 from repro.service.protocol import (
-    PROTOCOL_V1, PROTOCOL_VERSION, WireError, error_response,
-    ok_response)
+    MALFORMED_ARGS, PROTOCOL_V1, PROTOCOL_VERSION, WireError,
+    error_response, ok_response)
 from repro.service.server import (
     DEFAULT_SESSION_EW_NS, DEFAULT_SESSION_LINGER_NS)
-from repro.service.sessions import Session, SessionRegistry
+from repro.service.sessions import (
+    Session, SessionRegistry, parse_hello)
 
 #: Ops routed by the PMO *name* in their args.
 NAME_OPS = frozenset({
@@ -65,6 +69,17 @@ class UpstreamLost(Exception):
 
 class UpstreamError(TerpError):
     """A shard answered the router's own request with an error."""
+
+
+class _Refused(Exception):
+    """Every shard answered a fan-out op with an error (malformed
+    arguments): the client gets that error, not an empty merge."""
+
+    def __init__(self, response: Dict[str, Any],
+                 events: List[dict]) -> None:
+        super().__init__(response.get("error"))
+        self.response = response
+        self.events = events
 
 
 class UpstreamConn:
@@ -353,12 +368,14 @@ class TerpRouter:
                     return self.ring.owner(name)
             elif op in OID_OPS:
                 oid = args.get("oid")
-                if isinstance(oid, (int, float)):
+                if isinstance(oid, int) or (isinstance(oid, float)
+                                            and math.isfinite(oid)):
                     pool_id = int(oid) >> OFFSET_BITS
                     if pool_id >= 1:
                         return (pool_id - 1) % self.shard_count
-        # Unroutable (malformed args, null oid): any shard will
-        # produce the same typed error; keep it session-sticky.
+        # Unroutable (malformed args, a null or non-finite oid): any
+        # shard will produce the same typed error; keep it
+        # session-sticky.
         return self._home_shard(conn)
 
     async def _upstream(self, conn: _RouterConn,
@@ -435,67 +452,37 @@ class TerpRouter:
                     ok_response(rid, result, None)))
             if op in FANOUT_OPS:
                 return await self._fanout(conn, rid, op, args)
+            shard = self._route(op, args, conn)
         except UpstreamLost:
             raise
         except (TerpError, WireError) as exc:
             return protocol.frame_from_body(protocol.encode_body(
                 error_response(rid, type(exc).__name__, str(exc),
                                None)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except MALFORMED_ARGS as exc:
             return protocol.frame_from_body(protocol.encode_body(
                 error_response(rid, "BadRequest",
                                f"malformed arguments: {exc!r}")))
         # The relay fast path: the owning shard sees the client's
         # exact bytes and its response travels back untouched.
-        shard = self._route(op, args, conn)
         up = await self._upstream(conn, shard)
         rbody, rside = await up.request_raw(raw_body, sidecar)
         return protocol.frame_from_body(rbody, rside or None)
 
     def _op_hello(self, conn: _RouterConn,
                   args: Dict[str, Any]) -> Dict[str, Any]:
-        if conn.session is not None:
-            raise TerpError("connection already has a session")
-        version = int(args.get("version", PROTOCOL_V1))
-        if version < PROTOCOL_V1 or \
-                (self.protocol_version <= PROTOCOL_V1 and
-                 version != PROTOCOL_V1):
-            raise TerpError(f"protocol version {version} unsupported; "
-                            f"server speaks {self.protocol_version}")
-        negotiated = min(version, self.protocol_version)
-        resume = args.get("resume")
-        if resume is not None:
-            session = self._resume_session(int(resume),
-                                           str(args.get("token", "")))
+        hello = parse_hello(args, bound=conn.session is not None,
+                            server_version=self.protocol_version)
+        if hello.resume is not None:
+            session = self.registry.resume(hello.resume, hello.token)
         else:
-            budget_us = args.get("ew_budget_us")
-            budget_ns = None if budget_us is None else int(
-                float(budget_us) * 1_000)
             session = self.registry.create(
-                user=str(args.get("user", "root")),
-                ew_budget_ns=budget_ns)
+                user=hello.user, ew_budget_ns=hello.ew_budget_ns)
             self._ext[session.session_id] = _SessionExt()
         conn.generation = session.bind()
         conn.session = session
-        conn.version = negotiated
-        return {"session": session.session_id,
-                "entity": session.entity_id,
-                "version": negotiated,
-                "ew_budget_us": session.ew_budget_ns / 1_000,
-                "token": session.resume_token,
-                "resumed": resume is not None}
-
-    def _resume_session(self, session_id: int, token: str) -> Session:
-        session = self.registry.find(session_id)
-        if session is None or session.closed:
-            raise TerpError(f"no session {session_id} to resume")
-        if not token or token != session.resume_token:
-            raise TerpError(f"bad resume token for session "
-                            f"{session_id}")
-        if session.bound:
-            raise TerpError(f"session {session_id} is still bound "
-                            "to a live connection")
-        return session
+        conn.version = hello.version
+        return hello.reply(session)
 
     async def _op_goodbye(self, conn: _RouterConn) -> Dict[str, Any]:
         session = conn.session
@@ -549,21 +536,29 @@ class TerpRouter:
 
     async def _fanout(self, conn: _RouterConn, rid: Any, op: str,
                       args: Dict[str, Any]) -> bytes:
-        if op == "ping":
-            result, events = await self._fanout_ping(conn, args)
-        elif op == "metrics":
-            result, events = await self._fanout_metrics(conn, args)
-        elif op == "trace":
-            result, events = await self._fanout_trace(conn, args)
-        else:
-            result, events = await self._fanout_prometheus(conn, args)
-        return protocol.frame_from_body(protocol.encode_body(
-            ok_response(rid, result, events or None)))
+        try:
+            if op == "ping":
+                result, events = await self._fanout_ping(conn, args)
+            elif op == "metrics":
+                result, events = await self._fanout_metrics(conn, args)
+            elif op == "trace":
+                result, events = await self._fanout_trace(conn, args)
+            else:
+                result, events = await self._fanout_prometheus(conn,
+                                                               args)
+            response = ok_response(rid, result, events or None)
+        except _Refused as refused:
+            error = refused.response.get("error") or {}
+            response = error_response(
+                rid, str(error.get("kind", "TerpError")),
+                str(error.get("message", "")), refused.events or None)
+        return protocol.frame_from_body(protocol.encode_body(response))
 
     async def _collect(self, targets: List[Tuple[int, UpstreamConn]],
                        op: str, args: Dict[str, Any]
                        ) -> List[Tuple[int, Dict[str, Any]]]:
-        """Send one op to every target; drop targets that die."""
+        """Send one op to every target; drop targets that die.  Raises
+        :class:`_Refused` when every answer is an error."""
         async def one(shard: int, up: UpstreamConn):
             try:
                 response, _ = await up.request(
@@ -571,9 +566,12 @@ class TerpRouter:
             except UpstreamLost:
                 return None
             return shard, response
-        answers = await asyncio.gather(
-            *(one(shard, up) for shard, up in targets))
-        return [a for a in answers if a is not None]
+        answers = [a for a in await asyncio.gather(
+            *(one(shard, up) for shard, up in targets)) if a is not None]
+        if answers and not any(response.get("ok")
+                               for _, response in answers):
+            raise _Refused(answers[0][1], self._merge_events(answers))
+        return answers
 
     @staticmethod
     def _merge_events(answers: List[Tuple[int, Dict[str, Any]]]
@@ -674,7 +672,14 @@ class TerpRouter:
             op = item.get("op") if isinstance(item, dict) else None
             rid = item.get("id") if isinstance(item, dict) else None
             args = item.get("args") if isinstance(item, dict) else None
-            take = bins.take(_bin_len(args)) if args else b""
+            try:
+                take = bins.take(_bin_len(args)) if args else b""
+            except WireError as exc:
+                # A sidecar underrun fails only its own slot, as it
+                # does on a standalone daemon.
+                parts[index] = protocol.encode_body(error_response(
+                    rid, "WireError", str(exc)))
+                continue
             if not isinstance(item, dict) or not isinstance(op, str):
                 parts[index] = protocol.encode_body(error_response(
                     rid, "WireError",

@@ -14,10 +14,14 @@ elapses, including clients that crash or disconnect mid-attach.
 Modules:
 
 ``protocol``   the wire format (framing, requests, responses, errors)
-``sessions``   session registry and session -> entity mapping
+``sessions``   session registry, session -> entity mapping, and the
+               ``hello`` front door shared with the cluster router
 ``metrics``    per-session and global series, registry-backed
 ``server``     the asyncio daemon (``TerpService``) and thread harness
-``client``     asyncio and blocking clients with pipelining support
+``registry``   session lifecycle: open, resume, release, journal
+``retry``      client backoff and circuit breaking
+``client``     the blocking client (``SyncTerpClient``), pipelining
+               and batching, with retry and resume
 
 Observability lives in :mod:`repro.obs`: the daemon's counters and
 latency histograms are instruments in a
@@ -29,15 +33,14 @@ request and sweep is traced, and the exposure-window audit timeline
 Run the daemon with ``python -m repro.service``.
 """
 
-from repro.service.client import RemoteError, SyncTerpClient, TerpClient
-from repro.service.metrics import LatencyRecorder, ServiceMetrics
+from repro.service.client import RemoteError, SyncTerpClient
+from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
     MAX_FRAME_BYTES, WireError, decode_frame, encode_frame)
 from repro.service.server import ServiceThread, TerpService
 from repro.service.sessions import Session, SessionRegistry
 
 __all__ = [
-    "LatencyRecorder",
     "MAX_FRAME_BYTES",
     "RemoteError",
     "ServiceMetrics",
@@ -45,7 +48,6 @@ __all__ = [
     "Session",
     "SessionRegistry",
     "SyncTerpClient",
-    "TerpClient",
     "TerpService",
     "WireError",
     "decode_frame",

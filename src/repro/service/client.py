@@ -1,46 +1,45 @@
-"""terpd clients: asyncio and blocking, both pipelining-capable.
+"""The terpd client: a blocking, pipelining-capable socket client.
 
-Two clients over the same wire protocol:
+:class:`SyncTerpClient` speaks the wire protocol over a plain TCP or
+Unix socket, for threads, scripts and load generators.  ``call()`` is
+one request and one response; ``pipeline()`` sends a burst of request
+frames back-to-back before collecting the responses (the server
+answers in order per connection, and every response is checked
+against its request id); ``batch()`` packs the burst into a single
+array frame instead.
 
-* :class:`TerpClient` — asyncio.  ``submit()`` fires a request without
-  waiting (pipelining: the server answers in order per connection, so
-  responses are matched FIFO and checked against the request id);
-  ``call()`` is submit-and-await.
-* :class:`SyncTerpClient` — a plain blocking socket, for threads,
-  scripts, and load generators.  ``pipeline()`` sends a burst of
-  request frames back-to-back before collecting the responses;
-  ``batch()`` packs them into a single array frame instead.
-
-Both surface the Table I API as methods (``create``/``open``/
+The client surfaces the Table I API as methods (``create``/``open``/
 ``attach``/``detach``/``pmalloc``/``pfree``/``read``/``write``/
-``psync``/``destroy``), translate error responses into
-:class:`RemoteError`, and collect out-of-band ``forced-detach``
-events into :attr:`events`.
+``psync``/``destroy``), translates error responses into
+:class:`RemoteError`, and collects out-of-band ``forced-detach``
+events into :attr:`~SyncTerpClient.events`.
 
 Robustness (opt-in via the ``retry`` / ``breaker`` constructor
-arguments; without them the clients behave exactly as before):
+arguments; without them every failure surfaces at once):
 
 * a lost connection surfaces as :class:`ConnectionLost` — typed, so
   callers can tell "the server said no" from "the server went away";
 * with a :class:`~repro.service.retry.RetryPolicy`, a lost connection
-  triggers reconnect + session resume + replay of the *same request
-  id* after a jittered exponential backoff.  The server's per-session
-  replay cache makes the retry idempotent: a request that executed
+  triggers reconnect + session resume + a resend of the *same request
+  ids* after a jittered exponential backoff.  The server's per-session
+  replay cache makes the resend idempotent: a request that executed
   but whose response was lost is answered from the cache, never run
   twice.  Retryable error kinds (``Busy``, ``InjectedFault``) are
   retried in place on the live connection.
 * with a :class:`~repro.service.retry.CircuitBreaker`, consecutive
   connection failures open the circuit and the client degrades to
   read-only operations until a probe succeeds.
+
+``call``, ``pipeline`` and ``batch`` share that one retry loop
+(:meth:`SyncTerpClient._retrying`); they differ only in how one
+attempt sends its requests and collects the responses.
 """
 
 from __future__ import annotations
 
-import asyncio
-import collections
 import os
 import socket
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import TerpError
 from repro.pmo.object_id import Oid
@@ -49,6 +48,9 @@ from repro.service.protocol import WireError
 from repro.service.retry import (
     READ_ONLY_OPS, RETRYABLE_KINDS, CircuitBreaker, CircuitOpenError,
     RetryPolicy)
+
+#: One numbered request: (request id, op, args).
+Request = Tuple[int, str, Dict[str, Any]]
 
 
 class RemoteError(TerpError):
@@ -83,10 +85,29 @@ class SessionLost(RemoteError):
         super().__init__("SessionLost", message)
 
 
-class _ClientCore:
-    """Response bookkeeping shared by both clients."""
+class SyncTerpClient:
+    """Blocking terpd client over TCP or a Unix socket."""
 
-    def __init__(self) -> None:
+    def __init__(self, *, host: str = "127.0.0.1",
+                 port: Optional[int] = None,
+                 unix_path: Optional[str] = None,
+                 user: str = "root",
+                 ew_budget_us: Optional[float] = None,
+                 timeout: float = 30.0,
+                 retry: Optional[RetryPolicy] = None,
+                 breaker: Optional[CircuitBreaker] = None,
+                 strict_resume: bool = False) -> None:
+        if (port is None) == (unix_path is None):
+            raise TerpError("give exactly one of port / unix_path")
+        self._sock: Optional[socket.socket] = None
+        self._host, self._port, self._unix = host, port, unix_path
+        self._user, self._budget = user, ew_budget_us
+        self._timeout = timeout
+        self._retry = retry
+        self._breaker = breaker
+        self._strict_resume = strict_resume
+        #: the last request id issued; ids only ever grow.
+        self._next_id = 0
         self.session_id: Optional[int] = None
         self.entity_id: Optional[int] = None
         self.ew_budget_us: Optional[float] = None
@@ -99,7 +120,6 @@ class _ClientCore:
         self.resumes = 0
         #: reconnects where resume failed and a fresh session was opened.
         self.sessions_lost = 0
-        self._next_id = 0
         #: the revision offered in ``hello``; ``TERP_PROTOCOL_VERSION=1``
         #: in the environment forces the legacy JSON-only wire.
         env = os.environ.get("TERP_PROTOCOL_VERSION")
@@ -108,110 +128,17 @@ class _ClientCore:
         #: the revision actually negotiated (v1 until hello says more).
         self.protocol_version = protocol.PROTOCOL_V1
 
-    def next_id(self) -> int:
-        self._next_id += 1
-        return self._next_id
-
     @property
     def forced_detaches(self) -> int:
         return sum(1 for e in self.events
                    if e.get("event") == "forced-detach")
 
-    def take_result(self, response: Any, expect_id: int) -> Any:
-        if response is None:
-            raise ConnectionLost("server closed the connection")
-        if not isinstance(response, dict):
-            raise WireError(f"response is not an object: {response!r}")
-        if response.get("id") != expect_id:
-            raise WireError(
-                f"response id {response.get('id')!r} does not match "
-                f"request id {expect_id} (pipelining desync)")
-        self.events.extend(response.get("events") or [])
-        if not response.get("ok"):
-            error = response.get("error") or {}
-            raise RemoteError(str(error.get("kind", "TerpError")),
-                              str(error.get("message", "unknown")))
-        return response.get("result")
-
-    def note_hello(self, result: Dict) -> None:
-        self.session_id = result["session"]
-        self.entity_id = result["entity"]
-        self.ew_budget_us = result["ew_budget_us"]
-        self.resume_token = str(result.get("token", ""))
-        self.protocol_version = int(
-            result.get("version", protocol.PROTOCOL_V1))
-
-    def _prep_args(self, args: Dict[str, Any]
-                   ) -> Tuple[Dict[str, Any], List[bytes]]:
-        """Encode a request's binary payload for the negotiated wire.
-
-        ``bytes`` under ``"data"`` ride the v2 sidecar (returned as
-        chunks) or get base64'd for a v1 connection.  The caller's
-        dict is never mutated, so a retry after reconnect re-preps the
-        same request for whatever version the new connection speaks.
-        """
-        data = args.get("data")
-        if not isinstance(data, (bytes, bytearray, memoryview)):
-            return args, []
-        data = bytes(data)
-        if self.protocol_version >= 2:
-            return dict(args, data={"bin": len(data)}), [data]
-        return dict(args, data=protocol.encode_bytes(data)), []
-
-    def _version_rejected(self, exc: "RemoteError") -> bool:
-        """Did the server refuse our ``hello`` version offer?"""
-        return not isinstance(exc, ConnectionLost) and \
-            self._want_version > protocol.PROTOCOL_V1 and \
-            "version" in exc.remote_message
-
-
-class SyncTerpClient(_ClientCore):
-    """Blocking terpd client over TCP or a Unix socket."""
-
-    def __init__(self, *, host: str = "127.0.0.1",
-                 port: Optional[int] = None,
-                 unix_path: Optional[str] = None,
-                 user: str = "root",
-                 ew_budget_us: Optional[float] = None,
-                 timeout: float = 30.0,
-                 retry: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 strict_resume: bool = False) -> None:
-        super().__init__()
-        if (port is None) == (unix_path is None):
-            raise TerpError("give exactly one of port / unix_path")
-        self._sock: Optional[socket.socket] = None
-        self._host, self._port, self._unix = host, port, unix_path
-        self._user, self._budget = user, ew_budget_us
-        self._timeout = timeout
-        self._retry = retry
-        self._breaker = breaker
-        self._strict_resume = strict_resume
-
     # -- connection lifecycle ----------------------------------------------
 
     def connect(self) -> "SyncTerpClient":
         self._open_socket()
-        self.note_hello(self._hello(self._hello_args()))
+        self._note_hello(self._hello(self._hello_args()))
         return self
-
-    def _hello(self, args: Dict[str, Any]) -> Any:
-        """Say hello, negotiating the protocol version.
-
-        A legacy (v1-only) server rejects the v2 offer outright with a
-        "version unsupported" error; the client downgrades its offer
-        and re-hellos, after which everything — including this whole
-        session's reads and writes — stays on the v1 JSON wire.
-        """
-        try:
-            return self._raw_call(
-                "hello", dict(args, version=self._want_version))
-        except RemoteError as exc:
-            if not self._version_rejected(exc):
-                raise
-            self._want_version = protocol.PROTOCOL_V1
-            return self._raw_call(
-                "hello", dict(args, version=protocol.PROTOCOL_V1))
 
     def close(self) -> None:
         self._drop_socket()
@@ -227,6 +154,34 @@ class SyncTerpClient(_ClientCore):
         if self._budget is not None:
             args["ew_budget_us"] = self._budget
         return args
+
+    def _hello(self, args: Dict[str, Any]) -> Any:
+        """Say hello, negotiating the protocol version.
+
+        A legacy (v1-only) server rejects the v2 offer outright with a
+        "version unsupported" error; the client downgrades its offer
+        and re-hellos, after which everything — including this whole
+        session's reads and writes — stays on the v1 JSON wire.  A
+        hello is one round trip outside the retry loop.
+        """
+        try:
+            return self._send_each(self._number(
+                [("hello", dict(args, version=self._want_version))]))[0]
+        except RemoteError as exc:
+            if isinstance(exc, ConnectionLost) or \
+                    self._want_version <= protocol.PROTOCOL_V1 or \
+                    "version" not in exc.remote_message:
+                raise
+            self._want_version = protocol.PROTOCOL_V1
+            return self._hello(args)
+
+    def _note_hello(self, result: Dict) -> None:
+        self.session_id = result["session"]
+        self.entity_id = result["entity"]
+        self.ew_budget_us = result["ew_budget_us"]
+        self.resume_token = str(result.get("token", ""))
+        self.protocol_version = int(
+            result.get("version", protocol.PROTOCOL_V1))
 
     def _open_socket(self) -> None:
         if self._unix is not None:
@@ -261,7 +216,7 @@ class SyncTerpClient(_ClientCore):
         args = self._hello_args()
         if self.session_id is not None and self.resume_token:
             try:
-                self.note_hello(self._hello(
+                self._note_hello(self._hello(
                     dict(args, resume=self.session_id,
                          token=self.resume_token)))
                 self.resumes += 1
@@ -274,7 +229,7 @@ class SyncTerpClient(_ClientCore):
                     raise SessionLost(
                         f"session {self.session_id} not resumable: "
                         f"{exc.remote_message}") from exc
-        self.note_hello(self._hello(args))
+        self._note_hello(self._hello(args))
 
     def _try_reconnect(self) -> None:
         """Best-effort reconnect between retry attempts: a failure
@@ -288,12 +243,11 @@ class SyncTerpClient(_ClientCore):
 
     # -- request plumbing -------------------------------------------------
 
-    def _send(self, payload: Any,
-              sidecar: Optional[bytes] = None) -> None:
+    def _send(self, payload: Any, sidecar: bytes) -> None:
         if self._sock is None:
             raise ConnectionLost("not connected")
         try:
-            protocol.send_frame(self._sock, payload, sidecar)
+            protocol.send_frame(self._sock, payload, sidecar or None)
         except OSError as exc:
             self._drop_socket()
             raise ConnectionLost(f"send failed: {exc}") from exc
@@ -322,152 +276,166 @@ class SyncTerpClient(_ClientCore):
                 raise ConnectionLost(str(exc)) from exc
         return payload
 
-    def _raw_call(self, op: str, args: Dict[str, Any]) -> Any:
-        """One round-trip with no retry/breaker involvement."""
-        rid = self.next_id()
-        self._send(protocol.request(rid, op, args))
-        return self.take_result(self._recv(), rid)
+    def _prep_args(self, args: Dict[str, Any]
+                   ) -> Tuple[Dict[str, Any], bytes]:
+        """Encode a request's binary payload for the negotiated wire.
 
-    def _check_breaker(self, op: str, *, readonly: bool) -> None:
-        if self._breaker is not None and \
-                not self._breaker.allow(readonly=readonly):
-            raise CircuitOpenError(
-                f"circuit open: refusing {op!r}; only read-only "
-                "operations pass until the server recovers")
-
-    def call(self, op: str, **args: Any) -> Any:
-        """One request, one response — with retry if configured."""
-        return self._call(self.next_id(), op, args)
-
-    def _call(self, rid: int, op: str, args: Dict[str, Any]) -> Any:
-        attempt = 0
-        while True:
-            self._check_breaker(op, readonly=op in READ_ONLY_OPS)
-            try:
-                prepped, chunks = self._prep_args(args)
-                self._send(protocol.request(rid, op, prepped),
-                           b"".join(chunks) if chunks else None)
-                result = self.take_result(self._recv(), rid)
-            except ConnectionLost:
-                self._drop_socket()
-                if self._breaker is not None:
-                    self._breaker.record_failure()
-                if self._retry is None or \
-                        attempt >= self._retry.max_retries:
-                    raise
-                self._retry.backoff(attempt)
-                attempt += 1
-                # Same rid on the restored session: if the lost
-                # request executed, the replay cache answers it.
-                self._try_reconnect()
-                continue
-            except RemoteError as exc:
-                # An error *response*: the connection round-tripped.
-                # Busy is the exception — a half-open probe answered
-                # Busy must re-open the circuit, not close it (the
-                # server is shedding load, not serving).
-                if self._breaker is not None:
-                    if exc.kind == "Busy":
-                        self._breaker.record_busy()
-                    else:
-                        self._breaker.record_success()
-                if self._retry is not None and \
-                        exc.kind in RETRYABLE_KINDS and \
-                        attempt < self._retry.max_retries:
-                    self._retry.backoff(attempt)
-                    attempt += 1
-                    continue
-                raise
-            if self._breaker is not None:
-                self._breaker.record_success()
-            return result
-
-    def pipeline(self, requests: List[Tuple[str, Dict]]) -> List[Any]:
-        """Send every request frame before reading any response.
-
-        Returns results in request order; a failed request raises only
-        when its slot is reached, after all frames were sent — matching
-        how a pipelined server consumes them.  With retry configured, a
-        connection lost mid-pipeline re-sends only the *unacknowledged*
-        request ids after reconnect + resume; acknowledged results are
-        kept and already-executed stragglers come from the replay
-        cache.
+        ``bytes`` under ``"data"`` ride the v2 sidecar (returned
+        alongside) or get base64'd for a v1 connection.  The caller's
+        dict is never mutated, so a retry after reconnect re-preps the
+        same request for whatever version the new connection speaks.
         """
-        pending = [(self.next_id(), op, args) for op, args in requests]
-        readonly = all(op in READ_ONLY_OPS for _, op, _ in pending)
-        results: List[Any] = []
-        attempt = 0
-        while True:
-            self._check_breaker(pending[0][1] if pending else "ping",
-                                readonly=readonly)
-            try:
-                for rid, op, args in pending[len(results):]:
-                    prepped, chunks = self._prep_args(args)
-                    self._send(protocol.request(rid, op, prepped),
-                               b"".join(chunks) if chunks else None)
-                while len(results) < len(pending):
-                    rid = pending[len(results)][0]
-                    results.append(self.take_result(self._recv(), rid))
-                if self._breaker is not None:
-                    self._breaker.record_success()
-                return results
-            except ConnectionLost:
-                self._drop_socket()
-                if self._breaker is not None:
-                    self._breaker.record_failure()
-                if self._retry is None or \
-                        attempt >= self._retry.max_retries:
-                    raise
-                self._retry.backoff(attempt)
-                attempt += 1
-                self._try_reconnect()
+        data = args.get("data")
+        if not isinstance(data, (bytes, bytearray, memoryview)):
+            return args, b""
+        data = bytes(data)
+        if self.protocol_version >= 2:
+            return dict(args, data={"bin": len(data)}), data
+        return dict(args, data=protocol.encode_bytes(data)), b""
 
-    def batch(self, requests: List[Tuple[str, Dict]]) -> List[Any]:
-        """Pack many requests into one frame (one syscall each way).
+    def _take_all(self, responses: List[Any],
+                  items: List[Request]) -> List[Any]:
+        """Check every response against its request, in order.
+
+        An error response raises only after *all* responses were
+        read: leaving the rest of a burst unread would desynchronise
+        the connection for the next request.  The first error wins.
+        """
+        results: List[Any] = []
+        error: Optional[RemoteError] = None
+        for response, (rid, _, _) in zip(responses, items):
+            if response is None:
+                raise ConnectionLost("server closed the connection")
+            if not isinstance(response, dict):
+                raise WireError(
+                    f"response is not an object: {response!r}")
+            if response.get("id") != rid:
+                raise WireError(
+                    f"response id {response.get('id')!r} does not "
+                    f"match request id {rid} (pipelining desync)")
+            self.events.extend(response.get("events") or [])
+            if response.get("ok"):
+                results.append(response.get("result"))
+                continue
+            results.append(None)
+            if error is None:
+                detail = response.get("error") or {}
+                error = RemoteError(
+                    str(detail.get("kind", "TerpError")),
+                    str(detail.get("message", "unknown")))
+        if error is not None:
+            raise error
+        return results
+
+    def _send_each(self, items: List[Request]) -> List[Any]:
+        """One attempt of ``call``/``pipeline``: one frame per request,
+        all sent before the first response is read."""
+        for rid, op, args in items:
+            prepped, sidecar = self._prep_args(args)
+            self._send(protocol.request(rid, op, prepped), sidecar)
+        return self._take_all([self._recv() for _ in items], items)
+
+    def _send_batch(self, items: List[Request]) -> List[Any]:
+        """One attempt of ``batch``: every request in one array frame.
 
         On a v2 connection the items' binary payloads travel as one
         combined sidecar, concatenated in item order.  The frame is
         re-packed per attempt: a reconnect may have renegotiated the
         protocol version.
         """
-        items = [(self.next_id(), op, args) for op, args in requests]
-        rids = [rid for rid, _, _ in items]
-        readonly = all(op in READ_ONLY_OPS for op, _ in requests)
-        attempt = 0
+        packed = []
+        chunks = []
+        for rid, op, args in items:
+            prepped, sidecar = self._prep_args(args)
+            packed.append(protocol.request(rid, op, prepped))
+            chunks.append(sidecar)
+        self._send(packed, b"".join(chunks))
+        responses = self._recv()
+        if responses is None:
+            raise ConnectionLost("server closed before the batch response")
+        if not isinstance(responses, list) or \
+                len(responses) != len(items):
+            raise WireError("batch response shape mismatch")
+        return self._take_all(responses, items)
+
+    def _retrying(self, items: List[Request],
+                  attempt: Callable[[List[Request]], List[Any]]
+                  ) -> List[Any]:
+        """Run ``attempt(items)`` under the breaker and retry policy.
+
+        An error response counts as a round trip to the breaker (Busy
+        excepted: a half-open probe answered Busy must re-open the
+        circuit — the server is shedding load, not serving).  A
+        retryable error kind is retried on the live connection; a
+        lost connection is retried after reconnect + resume.  Either
+        way the resend carries the *same* request ids, so every item
+        that already executed is answered from the session's replay
+        cache instead of running twice.
+        """
+        tries = 0
         while True:
-            self._check_breaker(requests[0][0] if requests else "ping",
-                                readonly=readonly)
+            if self._breaker is not None and not self._breaker.allow(
+                    readonly=all(op in READ_ONLY_OPS
+                                 for _, op, _ in items)):
+                raise CircuitOpenError(
+                    f"circuit open: refusing {items[0][1]!r}; only "
+                    "read-only operations pass until the server "
+                    "recovers")
             try:
-                packed = []
-                chunks: List[bytes] = []
-                for rid, op, args in items:
-                    prepped, ch = self._prep_args(args)
-                    chunks.extend(ch)
-                    packed.append(protocol.request(rid, op, prepped))
-                self._send(packed,
-                           b"".join(chunks) if chunks else None)
-                responses = self._recv()
-                if responses is None:
-                    raise ConnectionLost(
-                        "server closed before the batch response")
-                if not isinstance(responses, list) or \
-                        len(responses) != len(rids):
-                    raise WireError("batch response shape mismatch")
-                results = [self.take_result(response, rid)
-                           for response, rid in zip(responses, rids)]
+                results = attempt(items)
+            except RemoteError as exc:
+                lost = isinstance(exc, ConnectionLost)
+                if lost:
+                    self._drop_socket()
                 if self._breaker is not None:
-                    self._breaker.record_success()
-                return results
-            except ConnectionLost:
-                self._drop_socket()
-                if self._breaker is not None:
-                    self._breaker.record_failure()
+                    if lost:
+                        self._breaker.record_failure()
+                    elif exc.kind == "Busy":
+                        self._breaker.record_busy()
+                    else:
+                        self._breaker.record_success()
                 if self._retry is None or \
-                        attempt >= self._retry.max_retries:
+                        tries >= self._retry.max_retries or \
+                        not (lost or exc.kind in RETRYABLE_KINDS):
                     raise
-                self._retry.backoff(attempt)
-                attempt += 1
-                self._try_reconnect()
+                self._retry.backoff(tries)
+                tries += 1
+                if lost:
+                    self._try_reconnect()
+                continue
+            if self._breaker is not None:
+                self._breaker.record_success()
+            return results
+
+    def _number(self, requests: List[Tuple[str, Dict]]) -> List[Request]:
+        first = self._next_id + 1
+        self._next_id += len(requests)
+        return [(first + i, op, args)
+                for i, (op, args) in enumerate(requests)]
+
+    def call(self, op: str, **args: Any) -> Any:
+        """One request, one response — with retry if configured."""
+        self._next_id += 1
+        return self._retrying([(self._next_id, op, args)],
+                              self._send_each)[0]
+
+    def pipeline(self, requests: List[Tuple[str, Dict]]) -> List[Any]:
+        """Send every request frame before reading any response.
+
+        Returns results in request order.  Every response is read
+        before the first failed request's error is raised, so the
+        connection stays in step for the next request.
+        """
+        if not requests:
+            return []
+        return self._retrying(self._number(requests), self._send_each)
+
+    def batch(self, requests: List[Tuple[str, Dict]]) -> List[Any]:
+        """Pack many requests into one frame (one syscall each way);
+        an item's error raises after the whole batch was answered."""
+        if not requests:
+            return []
+        return self._retrying(self._number(requests), self._send_batch)
 
     # -- Table I convenience ----------------------------------------------
 
@@ -546,256 +514,3 @@ class SyncTerpClient(_ClientCore):
 
     def goodbye(self) -> Dict:
         return self.call("goodbye")
-
-
-class TerpClient(_ClientCore):
-    """Asyncio terpd client with FIFO-pipelined requests."""
-
-    def __init__(self, *, host: str = "127.0.0.1",
-                 port: Optional[int] = None,
-                 unix_path: Optional[str] = None,
-                 user: str = "root",
-                 ew_budget_us: Optional[float] = None,
-                 retry: Optional[RetryPolicy] = None,
-                 breaker: Optional[CircuitBreaker] = None,
-                 strict_resume: bool = False) -> None:
-        super().__init__()
-        if (port is None) == (unix_path is None):
-            raise TerpError("give exactly one of port / unix_path")
-        self._host, self._port, self._unix = host, port, unix_path
-        self._user, self._budget = user, ew_budget_us
-        self._retry = retry
-        self._breaker = breaker
-        self._strict_resume = strict_resume
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._pending: Deque[Tuple[int, asyncio.Future]] = \
-            collections.deque()
-        self._pump: Optional[asyncio.Task] = None
-
-    def _hello_args(self) -> Dict[str, Any]:
-        args: Dict[str, Any] = {"user": self._user}
-        if self._budget is not None:
-            args["ew_budget_us"] = self._budget
-        return args
-
-    async def connect(self) -> "TerpClient":
-        await self._open_transport()
-        self.note_hello(await self._hello(self._hello_args()))
-        return self
-
-    async def _hello(self, args: Dict[str, Any]) -> Any:
-        """``hello`` with version negotiation + v1 fallback (see
-        :meth:`SyncTerpClient._hello`)."""
-        try:
-            return await (await self._submit(
-                self.next_id(), "hello",
-                dict(args, version=self._want_version)))
-        except RemoteError as exc:
-            if not self._version_rejected(exc):
-                raise
-            self._want_version = protocol.PROTOCOL_V1
-            return await (await self._submit(
-                self.next_id(), "hello",
-                dict(args, version=protocol.PROTOCOL_V1)))
-
-    async def _open_transport(self) -> None:
-        if self._unix is not None:
-            self._reader, self._writer = \
-                await asyncio.open_unix_connection(self._unix)
-        else:
-            self._reader, self._writer = \
-                await asyncio.open_connection(self._host, self._port)
-        self._pump = asyncio.create_task(self._pump_responses())
-
-    async def close(self) -> None:
-        if self._pump is not None:
-            self._pump.cancel()
-            try:
-                await self._pump
-            except asyncio.CancelledError:
-                pass
-            self._pump = None
-        if self._writer is not None:
-            self._writer.close()
-            try:
-                await self._writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-            self._writer = None
-
-    async def _reconnect(self) -> None:
-        """Transport back up, then resume (or replace) the session."""
-        await self.close()
-        await self._open_transport()
-        args = self._hello_args()
-        if self.session_id is not None and self.resume_token:
-            try:
-                result = await self._hello(
-                    dict(args, resume=self.session_id,
-                         token=self.resume_token))
-                self.note_hello(result)
-                self.resumes += 1
-                return
-            except ConnectionLost:
-                raise
-            except RemoteError as exc:
-                self.sessions_lost += 1
-                if self._strict_resume:
-                    raise SessionLost(
-                        f"session {self.session_id} not resumable: "
-                        f"{exc.remote_message}") from exc
-        self.note_hello(await self._hello(args))
-
-    async def __aenter__(self) -> "TerpClient":
-        return await self.connect()
-
-    async def __aexit__(self, *exc_info) -> None:
-        await self.close()
-
-    async def _pump_responses(self) -> None:
-        """Match response frames to pending futures, FIFO."""
-        try:
-            while True:
-                got = await protocol.read_frame_ex(self._reader)
-                if got is None:
-                    raise ConnectionLost("server closed the connection")
-                response, sidecar = got
-                if sidecar:
-                    protocol.absorb_sidecar(response, sidecar)
-                if not self._pending:
-                    raise WireError("unsolicited response frame")
-                rid, future = self._pending.popleft()
-                if not future.done():
-                    try:
-                        future.set_result(
-                            self.take_result(response, rid))
-                    except (RemoteError, WireError) as exc:
-                        future.set_exception(exc)
-        except (WireError, ConnectionResetError, ConnectionLost) as exc:
-            while self._pending:
-                _, future = self._pending.popleft()
-                if not future.done():
-                    future.set_exception(ConnectionLost(str(exc)))
-        except asyncio.CancelledError:
-            while self._pending:
-                _, future = self._pending.popleft()
-                if not future.done():
-                    future.set_exception(
-                        ConnectionLost("client closed"))
-            raise
-
-    async def _submit(self, rid: int, op: str,
-                      args: Dict[str, Any]) -> "asyncio.Future":
-        if self._writer is None:
-            raise ConnectionLost("not connected")
-        future = asyncio.get_running_loop().create_future()
-        self._pending.append((rid, future))
-        prepped, chunks = self._prep_args(args)
-        try:
-            await protocol.write_frame(
-                self._writer, protocol.request(rid, op, prepped),
-                b"".join(chunks) if chunks else None)
-        except (ConnectionResetError, BrokenPipeError, OSError) as exc:
-            raise ConnectionLost(f"send failed: {exc}") from exc
-        return future
-
-    async def submit(self, op: str, **args: Any) -> "asyncio.Future":
-        """Fire a request; returns the future of its result."""
-        return await self._submit(self.next_id(), op, args)
-
-    async def call(self, op: str, **args: Any) -> Any:
-        rid = self.next_id()
-        attempt = 0
-        while True:
-            if self._breaker is not None and not self._breaker.allow(
-                    readonly=op in READ_ONLY_OPS):
-                raise CircuitOpenError(
-                    f"circuit open: refusing {op!r}; only read-only "
-                    "operations pass until the server recovers")
-            try:
-                result = await (await self._submit(rid, op, args))
-            except ConnectionLost:
-                if self._breaker is not None:
-                    self._breaker.record_failure()
-                if self._retry is None or \
-                        attempt >= self._retry.max_retries:
-                    raise
-                await asyncio.sleep(self._retry.delay_for(attempt))
-                attempt += 1
-                try:
-                    await self._reconnect()
-                except SessionLost:
-                    raise
-                except (OSError, TerpError):
-                    pass
-                continue
-            except RemoteError as exc:
-                if self._breaker is not None:
-                    # Busy re-opens a half-open circuit instead of
-                    # closing it (see SyncTerpClient._call).
-                    if exc.kind == "Busy":
-                        self._breaker.record_busy()
-                    else:
-                        self._breaker.record_success()
-                if self._retry is not None and \
-                        exc.kind in RETRYABLE_KINDS and \
-                        attempt < self._retry.max_retries:
-                    await asyncio.sleep(self._retry.delay_for(attempt))
-                    attempt += 1
-                    continue
-                raise
-            if self._breaker is not None:
-                self._breaker.record_success()
-            return result
-
-    # -- Table I convenience ----------------------------------------------
-
-    async def attach(self, name: str, access: str = "rw") -> Dict:
-        return await self.call("attach", name=name, access=access)
-
-    async def detach(self, name: str) -> Dict:
-        return await self.call("detach", name=name)
-
-    async def create(self, name: str, size: int,
-                     mode: int = 0o600) -> Dict:
-        return await self.call("create", name=name, size=size,
-                               mode=mode)
-
-    async def open(self, name: str, access: str = "rw") -> Dict:
-        return await self.call("open", name=name, access=access)
-
-    async def pmalloc(self, name: str, size: int) -> Oid:
-        result = await self.call("pmalloc", name=name, size=size)
-        return Oid.unpack(result["oid"])
-
-    async def pfree(self, oid: Oid) -> None:
-        await self.call("pfree", oid=oid.pack())
-
-    async def read(self, oid: Oid, n: int) -> bytes:
-        data = (await self.call("read", oid=oid.pack(), n=n))["data"]
-        return data if isinstance(data, bytes) else \
-            protocol.decode_bytes(data)
-
-    async def write(self, oid: Oid, data: bytes) -> int:
-        result = await self.call("write", oid=oid.pack(),
-                                 data=bytes(data))
-        return result["n"]
-
-    async def psync(self, name: str) -> int:
-        return (await self.call("psync", name=name))["flushed"]
-
-    async def destroy(self, name: str) -> Dict:
-        return await self.call("destroy", name=name)
-
-    async def metrics(self) -> Dict:
-        return await self.call("metrics")
-
-    async def trace(self, limit: int = 100) -> Dict:
-        return await self.call("trace", limit=limit)
-
-    async def prometheus(self) -> str:
-        return (await self.call("prometheus"))["text"]
-
-    async def goodbye(self) -> Dict:
-        return await self.call("goodbye")

@@ -13,10 +13,6 @@ daemon needs:
   attaches, forced detaches, errors.  Deliberately plain counters —
   sessions are ephemeral and numerous, so they stay out of the
   registry's long-lived series namespace.
-
-:class:`LatencyRecorder` is the historical name of the seeded
-reservoir now provided by :class:`repro.obs.registry.Reservoir`; it
-remains as a thin subclass with nanosecond-flavoured accessors.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.obs.registry import (
-    Counter, Histogram, MetricsRegistry, Reservoir)
+    Counter, Histogram, MetricsRegistry)
 
 #: Request/sweep latency buckets (ns): 1us .. 1s.
 LATENCY_BUCKETS_NS = (
@@ -33,31 +29,6 @@ LATENCY_BUCKETS_NS = (
     1_000_000, 5_000_000, 10_000_000, 50_000_000, 100_000_000,
     500_000_000, 1_000_000_000,
 )
-
-
-class LatencyRecorder(Reservoir):
-    """Reservoir-sampled latency population with percentile queries."""
-
-    @property
-    def total_ns(self) -> int:
-        return self.total
-
-    @property
-    def max_ns(self) -> int:
-        return self.max_value
-
-    @property
-    def mean_ns(self) -> float:
-        return self.mean
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "count": self.count,
-            "mean_us": self.mean / 1e3,
-            "p50_us": (self.percentile(50) or 0) / 1e3,
-            "p99_us": (self.percentile(99) or 0) / 1e3,
-            "max_us": self.max_value / 1e3,
-        }
 
 
 def _histogram_latency_dict(hist: Histogram) -> Dict[str, float]:

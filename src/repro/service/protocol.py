@@ -75,6 +75,12 @@ LEN_MASK = 0x7FFFFFFF
 
 _SEPARATORS = (",", ":")
 
+#: What a handler raises on malformed arguments: a missing key, a
+#: wrong type, or a number that does not fit (JSON admits ``NaN``,
+#: ``Infinity`` and ``1e400``, and ``int(inf)`` overflows).  Servers
+#: answer each with a ``BadRequest`` in the request's own slot.
+MALFORMED_ARGS = (KeyError, TypeError, ValueError, OverflowError)
+
 
 class WireError(TerpError):
     """Malformed frame, oversized frame, or truncated stream."""
@@ -222,12 +228,6 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Any]:
     if sidecar:
         raise WireError("unexpected binary sidecar on a v1 endpoint")
     return payload
-
-
-async def write_frame(writer: asyncio.StreamWriter, payload: Any,
-                      sidecar: Optional[bytes] = None) -> None:
-    writer.write(encode_frame(payload, sidecar))
-    await writer.drain()
 
 
 def recv_frame_ex(sock: socket.socket

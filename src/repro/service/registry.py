@@ -1,8 +1,8 @@
 """Session lifecycle management, split out of the daemon core.
 
 :class:`SessionManager` owns everything about remote sessions except
-the socket: allocation (via :class:`~repro.service.sessions
-.SessionRegistry`), resume-token verification, forced release of a
+the socket: allocation and resume-token verification (both via
+:class:`~repro.service.sessions.SessionRegistry`), forced release of a
 departing session's holdings, the arch engine's forced-detach
 callback, and the session-journal hooks that make warm restart
 possible.  The daemon (:class:`~repro.service.server.TerpService`)
@@ -69,21 +69,9 @@ class SessionManager:
         return session
 
     def resume_session(self, session_id: int, token: str) -> Session:
-        """Rebind a lingering session after a connection drop.
-
-        Resume restores *identity* (entity id, replay cache, pending
-        events), never access: the drop already force-closed every
-        window, so a resumed session starts with nothing attached.
-        """
-        session = self.registry.find(session_id)
-        if session is None or session.closed:
-            raise TerpError(f"no session {session_id} to resume")
-        if not token or token != session.resume_token:
-            raise TerpError(f"bad resume token for session "
-                            f"{session_id}")
-        if session.bound:
-            raise TerpError(f"session {session_id} is still bound "
-                            "to a live connection")
+        """Rebind a lingering session after a connection drop (see
+        :meth:`SessionRegistry.resume`), counting the resume."""
+        session = self.registry.resume(session_id, token)
         self.metrics.note_session_resumed()
         return session
 

@@ -50,12 +50,12 @@ from repro.pmo.store import (
 from repro.service import protocol
 from repro.service.metrics import ServiceMetrics
 from repro.service.protocol import (
-    PROTOCOL_V1, PROTOCOL_VERSION, WireError, error_response,
-    ok_response)
+    MALFORMED_ARGS, PROTOCOL_V1, PROTOCOL_VERSION, WireError,
+    error_response, ok_response)
 from repro.service.recovery import (
     RecoveryManager, RecoveryReport, SessionJournal)
 from repro.service.registry import SessionManager
-from repro.service.sessions import Session
+from repro.service.sessions import Session, parse_hello
 from repro.service.sweeping import Sweeper
 
 #: Default wall-clock exposure budget per session: 50ms.  Generous next
@@ -638,7 +638,7 @@ class TerpService:
             body = protocol.encode_body(error_response(
                 rid, type(exc).__name__, str(exc), events))
             ok = False
-        except (KeyError, TypeError, ValueError) as exc:
+        except MALFORMED_ARGS as exc:
             del conn.bin_out[bin_start:]
             body = protocol.encode_body(error_response(
                 rid, "BadRequest", f"malformed arguments: {exc!r}"))
@@ -676,40 +676,21 @@ class TerpService:
     # -- ops: session ----------------------------------------------------------
 
     def _op_hello(self, conn: _Conn, args: Dict) -> Dict:
-        if conn.session is not None:
-            raise TerpError("connection already has a session")
-        # Version negotiation: a client that omits ``version`` is v1;
-        # otherwise the connection speaks ``min(client, server)``.  A
-        # v1-capped server keeps the legacy strict rejection, which is
-        # what a v2 client's fallback path keys on.
-        version = int(args.get("version", PROTOCOL_V1))
-        if version < PROTOCOL_V1 or (self.protocol_version <= PROTOCOL_V1
-                                     and version != PROTOCOL_V1):
-            raise TerpError(f"protocol version {version} unsupported; "
-                            f"server speaks {self.protocol_version}")
-        negotiated = min(version, self.protocol_version)
-        resume = args.get("resume")
-        if resume is not None:
-            session = self.sessions.resume_session(
-                int(resume), str(args.get("token", "")))
+        hello = parse_hello(args, bound=conn.session is not None,
+                            server_version=self.protocol_version)
+        if hello.resume is not None:
+            session = self.sessions.resume_session(hello.resume,
+                                                   hello.token)
         else:
-            budget_us = args.get("ew_budget_us")
-            budget_ns = None if budget_us is None else int(
-                float(budget_us) * 1_000)
             session = self.sessions.open_session(
-                user=str(args.get("user", "root")),
-                ew_budget_ns=budget_ns, at_ns=self.lib.clock_ns)
+                user=hello.user, ew_budget_ns=hello.ew_budget_ns,
+                at_ns=self.lib.clock_ns)
         conn.generation = session.bind()
         conn.session = session
-        conn.version = negotiated
+        conn.version = hello.version
         self.metrics.note_session_opened()
         self.sessions.update_gauge()
-        return {"session": session.session_id,
-                "entity": session.entity_id,
-                "version": negotiated,
-                "ew_budget_us": session.ew_budget_ns / 1_000,
-                "token": session.resume_token,
-                "resumed": resume is not None}
+        return hello.reply(session)
 
     def _op_goodbye(self, conn: _Conn, args: Dict) -> Dict:
         session = conn.session

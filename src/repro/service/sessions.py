@@ -30,6 +30,12 @@ Robustness state (the chaos-tolerant parts):
 * **bounded event queue** — out-of-band notifications are capped;
   under backpressure the oldest are dropped and counted rather than
   growing without bound.
+
+The session front door is shared by every process that terminates
+client sessions — a standalone terpd and the cluster router alike:
+:func:`parse_hello` parses a ``hello`` and negotiates its protocol
+version, :meth:`SessionRegistry.resume` checks a resume token, and
+:meth:`Hello.reply` builds the response, so the two cannot drift.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from typing import Deque, Dict, Iterator, List, Optional, Set
 
 from repro.core.errors import TerpError
 from repro.service.metrics import SessionMetrics
+from repro.service.protocol import PROTOCOL_V1
 
 #: Successful responses remembered per session for idempotent replay.
 REPLAY_CACHE_SIZE = 256
@@ -162,6 +169,56 @@ class Session:
         return cached
 
 
+@dataclass(frozen=True)
+class Hello:
+    """A parsed ``hello``: the negotiated version plus either a resume
+    request (``resume``/``token``) or a fresh session's identity."""
+
+    version: int
+    resume: Optional[int] = None
+    token: str = ""
+    user: str = "root"
+    ew_budget_ns: Optional[int] = None
+
+    def reply(self, session: Session) -> Dict:
+        return {"session": session.session_id,
+                "entity": session.entity_id,
+                "version": self.version,
+                "ew_budget_us": session.ew_budget_ns / 1_000,
+                "token": session.resume_token,
+                "resumed": self.resume is not None}
+
+
+def parse_hello(args: Dict, *, bound: bool, server_version: int) -> Hello:
+    """Parse a ``hello`` on a connection (``bound``: it already has a
+    session) served by a ``server_version`` speaker.
+
+    Version negotiation: a client that omits ``version`` is v1;
+    otherwise the connection speaks ``min(client, server)``.  A
+    v1-capped server keeps the legacy strict rejection, which is what
+    a v2 client's fallback path keys on.  Malformed numbers raise
+    ``ValueError``/``TypeError``/``OverflowError`` for the caller's
+    ``BadRequest`` mapping.
+    """
+    if bound:
+        raise TerpError("connection already has a session")
+    version = int(args.get("version", PROTOCOL_V1))
+    if version < PROTOCOL_V1 or (server_version <= PROTOCOL_V1
+                                 and version != PROTOCOL_V1):
+        raise TerpError(
+            f"protocol version {version} unsupported; server speaks "
+            f"{server_version}")
+    negotiated = min(version, server_version)
+    resume = args.get("resume")
+    if resume is not None:
+        return Hello(negotiated, resume=int(resume),
+                     token=str(args.get("token", "")))
+    budget_us = args.get("ew_budget_us")
+    return Hello(negotiated, user=str(args.get("user", "root")),
+                 ew_budget_ns=None if budget_us is None
+                 else int(float(budget_us) * 1_000))
+
+
 class SessionRegistry:
     """Allocates sessions and their entity ids; supports iteration.
 
@@ -233,6 +290,24 @@ class SessionRegistry:
 
     def find(self, session_id: int) -> Optional[Session]:
         return self._sessions.get(session_id)
+
+    def resume(self, session_id: int, token: str) -> Session:
+        """The lingering session ``token`` proves identity for.
+
+        Resume restores *identity* (entity id, replay cache, pending
+        events), never access: the drop already force-closed every
+        window, so a resumed session starts with nothing attached.
+        """
+        session = self._sessions.get(session_id)
+        if session is None or session.closed:
+            raise TerpError(f"no session {session_id} to resume")
+        if not token or token != session.resume_token:
+            raise TerpError(f"bad resume token for session "
+                            f"{session_id}")
+        if session.bound:
+            raise TerpError(f"session {session_id} is still bound "
+                            "to a live connection")
+        return session
 
     def remove(self, session_id: int) -> Optional[Session]:
         session = self._sessions.pop(session_id, None)

@@ -123,6 +123,25 @@ class TestBatchSplitMerge:
         assert client.read_u64(oid) == 43
         client.detach("bat-ok")
 
+    @pytest.mark.parametrize("bad_oid", [float("nan"), float("inf")])
+    def test_non_finite_oid_fails_only_its_slot(self, client, bad_oid):
+        # A non-finite oid names no shard: the router must still
+        # answer a typed BadRequest in that slot — not tear down the
+        # client's connection — while the items around it run.
+        name = f"bat-nf-{bad_oid}"
+        client.create(name, MIB)
+        client.attach(name)
+        oid = client.pmalloc(name, 8)
+        with pytest.raises(RemoteError) as err:
+            client.batch([
+                ("write_u64", {"oid": oid.pack(), "value": 7}),
+                ("read", {"oid": bad_oid, "n": 8}),
+                ("write_u64", {"oid": oid.pack(), "value": 8}),
+            ])
+        assert err.value.kind == "BadRequest"
+        assert client.read_u64(oid) == 8
+        client.detach(name)
+
     def test_hello_inside_batch_is_rejected_in_place(self, client):
         with pytest.raises(RemoteError) as err:
             client.batch([

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import TerpError
 from repro.faults.plan import FaultPlan, FaultRule
+from repro.pmo.object_id import Oid
 from repro.service.client import (
     ConnectionLost, RemoteError, SyncTerpClient)
 from repro.service.retry import (
@@ -243,3 +244,65 @@ class TestReplayIdempotency:
         assert any(e["kind"] == "forced-detach"
                    and "connection lost" in e["reason"]
                    for e in events)
+
+
+class TestBurstResend:
+    """``pipeline`` and ``batch`` share ``call``'s retry loop: after a
+    drop the whole burst is resent under the same request ids, and the
+    replay cache answers exactly the items that had already run."""
+
+    def _client(self, port):
+        client = SyncTerpClient(
+            port=port, user="alice",
+            retry=RetryPolicy(base_delay_s=0.0001, seed=3))
+        client.connect()
+        client.create("burst", 1 << 20)
+        return client
+
+    def test_pipeline_resends_after_conn_drop(self):
+        # Frames 1 and 2 execute; the drop hits frame 3.
+        plan = FaultPlan(seed=1, rules=[
+            FaultRule("server.conn_drop", "before", count=1, after=2)])
+        plan.disarm()
+        service = service_with(plan)
+        with ServiceThread(service) as svc:
+            client = self._client(svc.bound_port)
+            plan.arm()
+            results = client.pipeline(
+                [("pmalloc", {"name": "burst", "size": 8})] * 4)
+            plan.disarm()
+            assert plan.fired("server.conn_drop")
+            assert client.resumes == 1
+            offsets = [Oid.unpack(r["oid"]).offset for r in results]
+            assert offsets == sorted(set(offsets))   # in order, distinct
+            assert service.metrics.replays_served == 2
+            assert service.metrics.ops["pmalloc"] == 4   # each ran once
+            client.goodbye()
+            client.close()
+
+    @pytest.mark.parametrize("site,kind,replayed", [
+        # dropped before the batch frame ran: nothing to replay
+        ("server.conn_drop", "before", 0),
+        # the whole batch ran, its response frame was cut short
+        ("server.partial_frame", "after", 4),
+    ])
+    def test_batch_resends_after_drop(self, site, kind, replayed):
+        plan = FaultPlan(seed=1, rules=[FaultRule(site, kind, count=1)])
+        plan.disarm()
+        service = service_with(plan)
+        with ServiceThread(service) as svc:
+            client = self._client(svc.bound_port)
+            plan.arm()
+            results = client.batch(
+                [("pmalloc", {"name": "burst", "size": 8})] * 3
+                + [("ping", {})])
+            plan.disarm()
+            assert plan.fired(site)
+            assert client.resumes == 1
+            offsets = [Oid.unpack(r["oid"]).offset for r in results[:3]]
+            assert offsets == sorted(set(offsets))
+            assert "now_ns" in results[3]
+            assert service.metrics.replays_served == replayed
+            assert service.metrics.ops["pmalloc"] == 3
+            client.goodbye()
+            client.close()

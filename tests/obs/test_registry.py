@@ -81,6 +81,27 @@ class TestReservoir:
         assert res.percentile(0) == 0
         assert res.percentile(100) == 49
 
+    def test_percentiles_exact_below_capacity(self):
+        res = Reservoir(1000, seed=1)
+        for value in range(1, 101):
+            res.record(value)
+        assert res.count == 100
+        assert res.percentile(0) == 1
+        assert res.percentile(100) == 100
+        assert 49 <= res.percentile(50) <= 51
+        assert res.max_value == 100
+        assert res.mean == pytest.approx(50.5)
+
+    def test_reservoir_stays_bounded_and_representative(self):
+        res = Reservoir(64, seed=3)
+        for value in range(10_000):
+            res.record(value)
+        assert res.count == 10_000
+        assert len(res.samples) == 64
+        # A uniform 0..10k population: the sampled median should not
+        # collapse to either extreme.
+        assert 1_000 < res.percentile(50) < 9_000
+
     def test_totals_exact_beyond_capacity(self):
         res = Reservoir(16, seed=5)
         for value in range(1, 1001):

@@ -7,15 +7,13 @@ degrades to the bit-identical v1 JSON wire; and a truncated or
 short-counted sidecar is a typed :class:`WireError`, never a hang.
 """
 
-import asyncio
 import socket
 
 import pytest
 
 from repro.core.units import MIB
 from repro.service import protocol
-from repro.service.client import (
-    ConnectionLost, SyncTerpClient, TerpClient)
+from repro.service.client import ConnectionLost, SyncTerpClient
 from repro.service.protocol import (
     HEADER, PROTOCOL_V1, PROTOCOL_VERSION, SIDECAR_FLAG, WireError)
 from repro.service.server import ServiceThread, TerpService
@@ -95,25 +93,6 @@ class TestNegotiation:
             result = protocol.recv_frame(sock)["result"]
             # v1 wire: base64 text, no "bin" marker, no sidecar.
             assert protocol.decode_bytes(result["data"]) == b"x" * 64
-
-    def test_async_client_negotiates_and_falls_back(self, terpd,
-                                                    terpd_v1):
-        async def drive():
-            async with TerpClient(port=terpd.bound_port) as new:
-                assert new.protocol_version == PROTOCOL_VERSION
-                await new.create("anew", MIB)
-                await new.attach("anew")
-                oid = await new.pmalloc("anew", 32)
-                await new.write(oid, b"y" * 32)
-                assert await new.read(oid, 32) == b"y" * 32
-            async with TerpClient(port=terpd_v1.bound_port) as old:
-                assert old.protocol_version == PROTOCOL_V1
-                await old.create("aold", MIB)
-                await old.attach("aold")
-                oid = await old.pmalloc("aold", 32)
-                await old.write(oid, b"z" * 32)
-                assert await old.read(oid, 32) == b"z" * 32
-        asyncio.run(drive())
 
 
 class TestMixedVersionTraffic:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.errors import TerpError
-from repro.service.metrics import LatencyRecorder, ServiceMetrics
+from repro.service.metrics import ServiceMetrics
 from repro.service.sessions import SessionRegistry
 
 
@@ -52,39 +52,6 @@ class TestSessionRegistry:
         assert session.closed
         with pytest.raises(TerpError):
             registry.get(session.session_id)
-
-
-class TestLatencyRecorder:
-    def test_percentiles_exact_below_capacity(self):
-        recorder = LatencyRecorder(capacity=1000)
-        for v in range(1, 101):
-            recorder.record(v)
-        assert recorder.count == 100
-        assert recorder.percentile(0) == 1
-        assert recorder.percentile(100) == 100
-        assert 49 <= recorder.percentile(50) <= 51
-        assert recorder.max_ns == 100
-        assert recorder.mean_ns == pytest.approx(50.5)
-
-    def test_reservoir_stays_bounded_and_representative(self):
-        recorder = LatencyRecorder(capacity=64, seed=3)
-        for v in range(10_000):
-            recorder.record(v)
-        assert recorder.count == 10_000
-        assert len(recorder._samples) == 64
-        # A uniform 0..10k population: the sampled median should not
-        # collapse to either extreme.
-        assert 1_000 < recorder.percentile(50) < 9_000
-
-    def test_empty_percentile_is_none(self):
-        assert LatencyRecorder().percentile(99) is None
-
-    def test_to_dict_units(self):
-        recorder = LatencyRecorder()
-        recorder.record(2_000)     # 2us
-        report = recorder.to_dict()
-        assert report["p50_us"] == pytest.approx(2.0)
-        assert report["count"] == 1
 
 
 class TestServiceMetrics:
